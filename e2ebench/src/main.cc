@@ -9,8 +9,9 @@
 // the end-to-end metrics with --trace 0, the per-layer metrics with
 // --trace 1 (an untraced and a traced window of half the time each).
 // Exits 1 when any answer differs from the oracle, a ledger differs from
-// the SyncTransport reference, or a run leaves its algorithm's guarantee;
-// 2 on bad arguments.
+// the SyncTransport reference, a run leaves its algorithm's guarantee, or a
+// window ends with fewer than 10 samples beyond its p99; 2 on bad
+// arguments.
 
 #include <signal.h>
 #include <unistd.h>
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,9 +48,8 @@ struct Args {
 /// Set-ups per run; setup_s is their median.
 constexpr int kSetupRepeats = 31;
 constexpr double kWarmupSeconds = 1.0;
-/// Enough samples that at least 10 lie beyond the 99th percentile; also
-/// the block size of lat_p99_ms (see BlockPercentile).
-constexpr size_t kMinSamples = 1000;
+/// lat_p99_ms needs at least this many samples beyond it.
+constexpr size_t kMinBeyondP99 = 10;
 /// Distinct queries whose ledger is checked against a SyncTransport run.
 constexpr size_t kLedgerChecks = 16;
 
@@ -138,7 +139,7 @@ std::vector<Metric> EndToEnd(const LoadResult& r, double setup_s,
       {"qps", static_cast<double>(r.attempted - r.failed) / r.wall,
        "queries/s"},
       {"lat_p50_ms", SortedPercentile(latency, 50), "ms"},
-      {"lat_p99_ms", BlockPercentile(latency, 99, kMinSamples), "ms"},
+      {"lat_p99_ms", SortedPercentile(latency, 99), "ms"},
       {"cpu_ms_per_query", r.cpu * 1e3 / n, "ms"},
       {"wire_bytes_per_query", wire / n, "bytes"},
       {"peak_rss_mb", peak_rss_mb, "MiB"},
@@ -280,27 +281,29 @@ int Run(const Args& args) {
   Tracer tracer;
   Tracer* const spans = args.trace == 1 ? &tracer : nullptr;
 
-  // Set-up, several times from the saved data; the last deployment serves
-  // the timed windows.
+  // Set-up, several times from the saved data: half before the timed
+  // windows (the last of these deployments serves them) and half after, so
+  // setup_s does not hang on the host's state in one second of the run.
   std::vector<SetupTimes> setups;
   std::unique_ptr<Deployment> deployment;
-  for (int r = 0; r < kSetupRepeats; ++r) {
-    deployment.reset();
-    SetupTimes times;
-    auto opened = Deployment::Open(*spec, args.data_dir, E2EBENCH_SITE_BIN,
-                                   queries.texts[0], queries.expected[0],
-                                   spans, &times);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "e2ebench: set-up failed: %s\n",
-                   opened.status().ToString().c_str());
-      return 1;
+  auto set_up = [&](int repeats) {
+    for (int r = 0; r < repeats; ++r) {
+      deployment.reset();
+      SetupTimes times;
+      auto opened = Deployment::Open(*spec, args.data_dir, E2EBENCH_SITE_BIN,
+                                     queries.texts[0], queries.expected[0],
+                                     spans, &times);
+      if (!opened.ok()) {
+        std::fprintf(stderr, "e2ebench: set-up failed: %s\n",
+                     opened.status().ToString().c_str());
+        return false;
+      }
+      deployment = std::move(opened).ValueOrDie();
+      setups.push_back(times);
     }
-    deployment = std::move(opened).ValueOrDie();
-    setups.push_back(times);
-  }
-  std::vector<double> setup_totals;
-  for (const SetupTimes& t : setups) setup_totals.push_back(t.total);
-  const double setup_s = Median(setup_totals);
+    return true;
+  };
+  if (!set_up(kSetupRepeats / 2 + 1)) return 1;
 
   bool correct = true;
   for (const std::string& problem :
@@ -311,31 +314,39 @@ int Run(const Args& args) {
 
   paxml::Engine& engine = deployment->engine();
   const std::vector<pid_t> peers = deployment->peer_pids();
-  RunClosedLoop(engine, queries, spec->family, kWarmupSeconds,
-                spec->think_seconds, 0, peers, nullptr);
+  RunClosedLoop(engine, queries, spec->family, kWarmupSeconds, 0, peers,
+                nullptr);
   // The traced pass splits --seconds between its untraced and traced
   // windows, so both kinds of run take about as long.
   const double window = args.trace == 0 ? args.seconds : args.seconds / 2;
-  const LoadResult untraced =
-      RunClosedLoop(engine, queries, spec->family, window,
-                    spec->think_seconds, kMinSamples, peers, nullptr);
+  const size_t min_samples = MinSamplesFor(99, kMinBeyondP99);
+  const LoadResult untraced = RunClosedLoop(
+      engine, queries, spec->family, window, min_samples, peers, nullptr);
   const double peak_rss_mb = PeakRssMb(peers);
 
   const LoadResult* reported = &untraced;
   LoadResult traced;
+  double compile_us = 0;
+  std::map<std::string, double> sync_ms;
+  CodecTimes codecs;
+  if (args.trace == 1) {
+    traced = RunClosedLoop(engine, queries, spec->family, window,
+                           min_samples, peers, spans);
+    reported = &traced;
+    const paxml::Cluster& cluster = deployment->cluster();
+    if (xml) compile_us = MeasureCompileUs(cluster, queries, spans);
+    sync_ms = MeasureSyncEvalMs(cluster, queries, spec->family, spans);
+    if (xml) codecs = MeasureCodecs(queries, spans);
+  }
+  if (!set_up(kSetupRepeats / 2)) return 1;
+  deployment.reset();
+
+  std::vector<double> setup_totals;
+  for (const SetupTimes& t : setups) setup_totals.push_back(t.total);
   std::vector<Metric> metrics;
   if (args.trace == 0) {
-    metrics = EndToEnd(untraced, setup_s, peak_rss_mb);
+    metrics = EndToEnd(untraced, Median(setup_totals), peak_rss_mb);
   } else {
-    traced = RunClosedLoop(engine, queries, spec->family, window,
-                           spec->think_seconds, kMinSamples, peers, spans);
-    reported = &traced;
-    const double compile_us =
-        xml ? MeasureCompileUs(deployment->cluster(), queries, spans) : 0;
-    const auto sync_ms =
-        MeasureSyncEvalMs(deployment->cluster(), queries, spec->family, spans);
-    const CodecTimes codecs =
-        xml ? MeasureCodecs(queries, spans) : CodecTimes{};
     metrics = PerLayer(*spec, setups, untraced, traced, compile_us, sync_ms,
                        codecs);
     if (!args.trace_file.empty()) {
@@ -353,19 +364,28 @@ int Run(const Args& args) {
 
   const size_t n = reported->samples.size();
   std::printf(
-      "closed loop: %zu clients, %zu queries in %.3f s; tail percentile "
-      "with >= 10 beyond: p%g; lat_p99_ms is the median p99 of %zu blocks "
-      "of %zu queries, %zu beyond each block's p99\n",
-      spec->clients, n, reported->wall, TailPercentile(n).value_or(0),
-      std::max<size_t>(1, n / kMinSamples), kMinSamples,
-      SamplesBeyond(kMinSamples, 99));
-  std::printf("set-up: median of %zu repeats (load -> first correct answer)\n",
-              setups.size());
+      "closed loop: %zu clients, %zu queries in %.3f s, %zu beyond p99\n",
+      spec->clients, n, reported->wall, SamplesBeyond(n, 99));
+  for (const LoadResult* window : {&untraced, reported}) {
+    if (SamplesBeyond(window->samples.size(), 99) < kMinBeyondP99) {
+      std::fprintf(stderr,
+                   "e2ebench: %zu queries leave fewer than %zu beyond p99\n",
+                   window->samples.size(), kMinBeyondP99);
+      return 1;
+    }
+  }
+  std::printf(
+      "set-up: median of %zu repeats (load -> first correct answer), %d "
+      "before the timed window and %d after it\n",
+      setups.size(), kSetupRepeats / 2 + 1, kSetupRepeats / 2);
   const double cpu_ms =
       untraced.cpu * 1e3 / static_cast<double>(untraced.attempted);
   const double qps = static_cast<double>(untraced.attempted) / untraced.wall;
-  std::printf("load: %.2f cores (qps x cpu_ms_per_query) of %ld\n",
-              qps * cpu_ms / 1e3, ::sysconf(_SC_NPROCESSORS_ONLN));
+  std::printf(
+      "load: %.2f cores (qps x cpu_ms_per_query) of %ld; the host took "
+      "%.1f%% of the processors' time (steal)\n",
+      qps * cpu_ms / 1e3, ::sysconf(_SC_NPROCESSORS_ONLN),
+      untraced.steal * 100.0);
   std::printf("fail_ratio %.6g (%zu of %zu failed), guarantee violations %zu\n",
               attempted == 0 ? 0.0
                              : static_cast<double>(failed) /

@@ -35,11 +35,11 @@ size_t SamplesBeyond(size_t n, double p) {
   return n == 0 ? 0 : n - NearestRank(n, p);
 }
 
-std::optional<double> TailPercentile(size_t n, size_t min_beyond) {
-  for (double p : {99.99, 99.9, 99.0, 95.0, 90.0, 75.0, 50.0}) {
-    if (SamplesBeyond(n, p) >= min_beyond) return p;
-  }
-  return std::nullopt;
+size_t MinSamplesFor(double p, size_t beyond) {
+  PAXML_CHECK_LT(p, 100.0);  // nothing lies beyond the maximum
+  size_t n = 1;
+  while (SamplesBeyond(n, p) < beyond) ++n;
+  return n;
 }
 
 double Median(std::vector<double> values) {
@@ -48,21 +48,6 @@ double Median(std::vector<double> values) {
   const size_t mid = values.size() / 2;
   return values.size() % 2 == 1 ? values[mid]
                                 : (values[mid - 1] + values[mid]) / 2.0;
-}
-
-double BlockPercentile(const std::vector<double>& in_order, double p,
-                       size_t block) {
-  PAXML_CHECK(!in_order.empty() && block > 0);
-  const size_t blocks = std::max<size_t>(1, in_order.size() / block);
-  std::vector<double> per_block;
-  for (size_t b = 0; b < blocks; ++b) {
-    const auto first = in_order.begin() + static_cast<ptrdiff_t>(b * block);
-    const auto last = b + 1 == blocks ? in_order.end() : first + block;
-    std::vector<double> sorted(first, last);
-    std::sort(sorted.begin(), sorted.end());
-    per_block.push_back(Percentile(sorted, p));
-  }
-  return Median(per_block);
 }
 
 std::vector<int> MakeMix(const std::vector<int>& weights, uint64_t seed,
@@ -131,6 +116,23 @@ std::optional<uint64_t> ParseStatusHwmKb(std::string_view status) {
   return std::nullopt;
 }
 
+std::optional<CpuTicks> ParseProcStatTicks(std::string_view stat) {
+  constexpr std::string_view kKey = "cpu ";
+  if (stat.substr(0, kKey.size()) != kKey) return std::nullopt;
+  // user nice system idle iowait irq softirq steal [guest guest_nice]; the
+  // guest times are already inside user and nice.
+  const std::string_view line = stat.substr(0, stat.find('\n'));
+  std::istringstream in{std::string(line.substr(kKey.size()))};
+  CpuTicks ticks;
+  for (int field = 1; field <= 8; ++field) {
+    unsigned long long v = 0;
+    if (!(in >> v)) return std::nullopt;
+    ticks.total += v;
+    if (field == 8) ticks.steal = v;
+  }
+  return ticks;
+}
+
 namespace {
 
 std::optional<std::string> ReadFile(const std::string& path) {
@@ -163,6 +165,12 @@ std::optional<double> ProcessHwmMb(int pid) {
   const auto kb = ParseStatusHwmKb(*text);
   if (!kb) return std::nullopt;
   return static_cast<double>(*kb) / 1024.0;
+}
+
+CpuTicks MachineTicks() {
+  const auto text = ReadFile("/proc/stat");
+  if (!text) return {};
+  return ParseProcStatTicks(*text).value_or(CpuTicks{});
 }
 
 }  // namespace e2ebench

@@ -21,21 +21,12 @@ double Percentile(const std::vector<double>& sorted, double p);
 /// Samples that lie beyond the nearest-rank percentile `p` of `n` samples.
 size_t SamplesBeyond(size_t n, double p);
 
-/// The highest of the standard reporting percentiles (99.99, 99.9, 99, 95,
-/// 90, 75, 50) that has at least `min_beyond` samples beyond it, or
-/// nullopt when even the median has fewer.
-std::optional<double> TailPercentile(size_t n, size_t min_beyond = 10);
+/// The fewest samples for which at least `beyond` lie past percentile `p`:
+/// a window reports its p99 only once it holds this many.
+size_t MinSamplesFor(double p, size_t beyond);
 
 /// Median of an unsorted list (mean of the middle two for even sizes).
 double Median(std::vector<double> values);
-
-/// The median, over consecutive blocks of `block` samples of `in_order`
-/// (a short last block joins the one before it), of each block's
-/// nearest-rank percentile `p`. A burst of host stalls inflates the tail of
-/// the few blocks it hits, not the reported value. With fewer than two
-/// blocks' worth of samples it is the plain percentile.
-double BlockPercentile(const std::vector<double>& in_order, double p,
-                       size_t block);
 
 /// A deterministic query mix: class indices drawn so that every block of
 /// sum(weights)/gcd(weights) consecutive queries holds each class exactly
@@ -54,6 +45,18 @@ std::optional<uint64_t> ParseStatCpuTicks(std::string_view stat);
 /// VmHWM (peak resident set) in KiB from the text of /proc/<pid>/status,
 /// or nullopt when the line is missing.
 std::optional<uint64_t> ParseStatusHwmKb(std::string_view status);
+
+/// Time the hypervisor ran other guests on this machine's processors
+/// ("steal") and all time, both in clock ticks summed over processors, from
+/// the text of /proc/stat; nullopt if its "cpu " line does not parse.
+struct CpuTicks {
+  uint64_t steal = 0;
+  uint64_t total = 0;
+};
+std::optional<CpuTicks> ParseProcStatTicks(std::string_view stat);
+
+/// The machine's ticks so far (zeros when /proc/stat cannot be read).
+CpuTicks MachineTicks();
 
 /// CPU seconds of process `pid` (0 means this process) so far.
 std::optional<double> ProcessCpuSeconds(int pid);

@@ -1,7 +1,7 @@
 #include "workload.h"
 
 #include <algorithm>
-#include <atomic>
+#include <barrier>
 #include <chrono>
 #include <optional>
 #include <thread>
@@ -85,9 +85,9 @@ QuerySample Sample(uint32_t query, const paxml::QueryReport& report,
 
 const std::vector<WorkloadSpec>& AllWorkloads() {
   static const std::vector<WorkloadSpec> kWorkloads = {
-      {"ft2_local", Family::kXml, 2, false, 2, 0.002},
-      {"ft2_socket", Family::kXml, 2, true, 1, 0.002},
-      {"graph_reach", Family::kGraph, 1, false, 1, 0.0},
+      {"ft2_local", Family::kXml, 2, false, 2},
+      {"ft2_socket", Family::kXml, 1, true, 1},
+      {"graph_reach", Family::kGraph, 1, false, 1},
   };
   return kWorkloads;
 }
@@ -184,20 +184,31 @@ bool WithinGuarantee(Family family, const QuerySample& sample) {
 }
 
 LoadResult RunClosedLoop(paxml::Engine& engine, const QuerySet& queries,
-                         Family family, double seconds, double think,
-                         size_t min_samples, const std::vector<pid_t>& peers,
-                         Tracer* tracer) {
+                         Family family, double seconds, size_t min_samples,
+                         const std::vector<pid_t>& peers, Tracer* tracer) {
   const size_t clients = queries.streams.size();
   std::vector<std::vector<QuerySample>> per_client(clients);
-  std::atomic<bool> stop{false};
-  std::atomic<size_t> completed{0};
+  bool stop = false;  // written by the barrier's completion step only
 
   const double cpu_before = CpuSeconds(peers);
+  const CpuTicks machine_before = MachineTicks();
   const Clock::time_point start = Clock::now();
+  // Clients submit in step: a step starts once every client has its answer
+  // from the step before, so each query of a multi-client workload
+  // overlaps the others' from its first round.
+  auto next_step = [&]() noexcept {
+    const double elapsed = SecondsSince(start);
+    const size_t done = per_client[0].size() * clients;
+    stop = (elapsed >= seconds && done >= min_samples) ||
+           elapsed >= 4 * seconds;
+  };
+  std::barrier step(static_cast<ptrdiff_t>(clients), next_step);
   auto client = [&](size_t c) {
     const std::vector<uint32_t>& stream = queries.streams[c];
     std::vector<QuerySample>& out = per_client[c];
-    for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+    for (size_t i = 0;; ++i) {
+      step.arrive_and_wait();
+      if (stop) break;
       const uint32_t q = stream[i % stream.size()];
       Span query(tracer, "client.query");
       paxml::QueryHandle handle;
@@ -209,19 +220,10 @@ LoadResult RunClosedLoop(paxml::Engine& engine, const QuerySet& queries,
       const paxml::QueryReport& report = handle.Wait();
       wait.End();
       const double latency = query.End();
-      const double elapsed = SecondsSince(start);
       QuerySample s = Sample(q, report, queries.expected[q]);
       s.latency = latency;
-      s.done = elapsed;
+      s.done = SecondsSince(start);
       out.push_back(s);
-
-      const size_t done = completed.fetch_add(1) + 1;
-      if ((elapsed >= seconds && done >= min_samples) ||
-          elapsed >= 4 * seconds) {
-        stop.store(true);
-      } else if (think > 0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(think));
-      }
     }
   };
   {
@@ -232,6 +234,11 @@ LoadResult RunClosedLoop(paxml::Engine& engine, const QuerySet& queries,
   LoadResult result;
   result.wall = SecondsSince(start);
   result.cpu = CpuSeconds(peers) - cpu_before;
+  const CpuTicks machine = MachineTicks();
+  if (machine.total > machine_before.total) {
+    result.steal = static_cast<double>(machine.steal - machine_before.steal) /
+                   static_cast<double>(machine.total - machine_before.total);
+  }
   for (auto& samples : per_client) {
     for (const QuerySample& s : samples) {
       ++result.attempted;

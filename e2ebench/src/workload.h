@@ -1,11 +1,11 @@
 // The three benchmark workloads, driven through the public Engine API.
 //
 //   ft2_local    FT2 on four in-process sites, pooled transport,
-//                site_threads=2, PaX2; 2 closed-loop clients.
+//                site_threads=2, PaX2; 2 clients in step.
 //   ft2_socket   the same data and mix; sites B, C, D are paxml_site
 //                processes on loopback (--compress), A is in-process;
 //                compress_min_bytes=512, peer_concurrent_rounds=2,
-//                site_threads=1; 2 clients.
+//                site_threads=1; 1 client.
 //   graph_reach  40k-vertex banded digraph, 8 contiguous fragments over 4
 //                in-process sites, pooled, site_threads=1; 1 client.
 //
@@ -37,11 +37,6 @@ struct WorkloadSpec {
   size_t clients;
   bool socket;  ///< sites B, C, D run as paxml_site processes
   size_t site_threads;
-  /// Pause between an answer and the client's next submission. The FT2
-  /// workloads need it to keep the measured load (qps x cpu_ms_per_query)
-  /// under three of four cores; the one graph client stays under without
-  /// it, and pausing there only adds thread wake-ups to every latency.
-  double think_seconds;
 };
 
 /// The workload called `name`, or null.
@@ -121,21 +116,21 @@ struct LoadResult {
   std::vector<QuerySample> samples;  ///< in completion order
   double wall = 0;     ///< first submit -> last answer, seconds
   double cpu = 0;      ///< CPU seconds of the client plus every peer
+  double steal = 0;    ///< share of the machine's time the host took away
   size_t attempted = 0;
   size_t failed = 0;
   size_t violations = 0;  ///< samples outside the algorithm's guarantee
 };
 
-/// Runs one closed-loop client per QuerySet stream against `engine`
-/// (Submit, Wait, `think` seconds of pause, the next query) until
+/// Runs one closed-loop client per QuerySet stream against `engine` until
 /// `seconds` have passed and at least `min_samples` queries have completed
-/// (bounded at four times `seconds`). Every answer is compared with the
-/// oracle. CPU is read from /proc for this process and `peers` across the
-/// window.
+/// (bounded at four times `seconds`). The clients go in step: each submits
+/// one query, waits for its answer, and submits the next once every client
+/// has its answer. Every answer is compared with the oracle. CPU is read
+/// from /proc for this process and `peers` across the window.
 LoadResult RunClosedLoop(paxml::Engine& engine, const QuerySet& queries,
-                         Family family, double seconds, double think,
-                         size_t min_samples, const std::vector<pid_t>& peers,
-                         Tracer* tracer);
+                         Family family, double seconds, size_t min_samples,
+                         const std::vector<pid_t>& peers, Tracer* tracer);
 
 /// True if the sample stayed inside its algorithm's guarantee: at most 2
 /// visits per site for PaX2, exactly one round for reachability.

@@ -27,32 +27,12 @@ TEST(Percentile, NearestRank) {
   EXPECT_EQ(SamplesBeyond(1000, 99), 10u);
 }
 
-TEST(Percentile, TailNeedsTenSamplesBeyond) {
-  EXPECT_EQ(TailPercentile(1000), 99.0);   // 10 beyond p99
-  EXPECT_EQ(TailPercentile(999), 95.0);    // only 9 beyond p99
-  EXPECT_EQ(TailPercentile(10000), 99.9);
-  EXPECT_EQ(TailPercentile(100000), 99.99);
-  EXPECT_EQ(TailPercentile(200), 95.0);
-  EXPECT_EQ(TailPercentile(20), 50.0);
-  EXPECT_FALSE(TailPercentile(19).has_value());
-  EXPECT_EQ(TailPercentile(40, 5), 75.0);
-}
-
-TEST(Percentile, BlockMedianIgnoresOneStalledBlock) {
-  std::vector<double> v;
-  for (int block = 0; block < 5; ++block) {
-    for (int i = 1; i <= 100; ++i) v.push_back(block == 2 ? 50.0 * i : i);
-  }
-  EXPECT_EQ(Percentile(std::vector<double>(v.begin(), v.begin() + 100), 99),
-            99);
-  EXPECT_EQ(BlockPercentile(v, 99, 100), 99);  // the stalled block is out
-  // A short tail joins the last full block: medians 50 and 65 (of 1..100
-  // plus thirty 1000s).
-  v.resize(200);
-  v.insert(v.end(), 30, 1000.0);
-  EXPECT_EQ(BlockPercentile(v, 50, 100), 57.5);
-  // Fewer samples than one block: the plain percentile.
-  EXPECT_EQ(BlockPercentile({3, 1, 2}, 50, 10), 2);
+TEST(Percentile, P99NeedsTenSamplesBeyond) {
+  EXPECT_EQ(MinSamplesFor(99, 10), 1000u);
+  EXPECT_EQ(SamplesBeyond(1000, 99), 10u);
+  EXPECT_EQ(SamplesBeyond(999, 99), 9u);
+  EXPECT_EQ(MinSamplesFor(50, 10), 20u);
+  EXPECT_EQ(MinSamplesFor(99.9, 10), 10000u);
 }
 
 TEST(Percentile, Median) {
@@ -104,10 +84,21 @@ TEST(Proc, StatusHwm) {
   EXPECT_FALSE(ParseStatusHwmKb("Name:\tx\nVmRSS:\t1 kB\n").has_value());
 }
 
+TEST(Proc, StealFromStatCpuLine) {
+  const auto ticks = ParseProcStatTicks(
+      "cpu  100 5 20 800 3 0 2 70 9 0\ncpu0 1 2 3 4 5 6 7 8 9 0\n");
+  ASSERT_TRUE(ticks.has_value());
+  EXPECT_EQ(ticks->steal, 70u);
+  EXPECT_EQ(ticks->total, 1000u);  // guest time is not counted twice
+  EXPECT_FALSE(ParseProcStatTicks("cpu0 1 2 3 4 5 6 7 8\n").has_value());
+  EXPECT_FALSE(ParseProcStatTicks("cpu  1 2 3\n").has_value());
+}
+
 TEST(Proc, ReadsThisProcess) {
   ASSERT_TRUE(ProcessCpuSeconds(0).has_value());
   ASSERT_TRUE(ProcessHwmMb(0).has_value());
   EXPECT_GT(*ProcessHwmMb(0), 0.0);
+  EXPECT_GT(MachineTicks().total, 0u);
 }
 
 /// A small two-site XML cluster with the experiment queries.
@@ -141,11 +132,12 @@ TEST(AnswerCheck, OracleAnswersPass) {
   SmallXml x;
   paxml::Engine engine(*x.cluster);
   const LoadResult r =
-      RunClosedLoop(engine, x.queries, Family::kXml, 0.2, 0, 8, {}, nullptr);
+      RunClosedLoop(engine, x.queries, Family::kXml, 0.2, 8, {}, nullptr);
   EXPECT_GE(r.attempted, 8u);
   EXPECT_EQ(r.failed, 0u);
   EXPECT_EQ(r.violations, 0u);
   EXPECT_EQ(r.samples.size(), r.attempted);
+  EXPECT_EQ(r.attempted % 2, 0u);  // the two clients go in step
   EXPECT_GT(r.cpu, 0.0);
 }
 
@@ -155,7 +147,7 @@ TEST(AnswerCheck, InjectedWrongOracleAnswerCountsAsFailure) {
   x.queries.expected[0].pop_back();  // the oracle now disagrees on Q1
   paxml::Engine engine(*x.cluster);
   const LoadResult r =
-      RunClosedLoop(engine, x.queries, Family::kXml, 0.2, 0, 8, {}, nullptr);
+      RunClosedLoop(engine, x.queries, Family::kXml, 0.2, 8, {}, nullptr);
   ASSERT_GT(r.attempted, 0u);
   EXPECT_GT(r.failed, 0u);
   size_t q1 = 0;
