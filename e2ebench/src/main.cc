@@ -48,7 +48,7 @@ struct Args {
 /// Set-ups per run; setup_s is their median.
 constexpr int kSetupRepeats = 31;
 constexpr double kWarmupSeconds = 1.0;
-/// lat_p99_ms needs at least this many samples beyond it.
+/// The p99 a window prints needs at least this many samples beyond it.
 constexpr size_t kMinBeyondP99 = 10;
 /// Distinct queries whose ledger is checked against a SyncTransport run.
 constexpr size_t kLedgerChecks = 16;
@@ -126,12 +126,17 @@ double PeakRssMb(const std::vector<pid_t>& peers) {
   return mb;
 }
 
+std::vector<double> LatenciesMs(const LoadResult& r) {
+  std::vector<double> latency;
+  for (const QuerySample& s : r.samples) latency.push_back(s.latency * 1e3);
+  return latency;
+}
+
 std::vector<Metric> EndToEnd(const LoadResult& r, double setup_s,
                              double peak_rss_mb) {
-  std::vector<double> latency;
+  const std::vector<double> latency = LatenciesMs(r);
   double wire = 0;
   for (const QuerySample& s : r.samples) {
-    latency.push_back(s.latency * 1e3);
     wire += static_cast<double>(s.wire_bytes);
   }
   const double n = static_cast<double>(r.samples.size());
@@ -139,7 +144,7 @@ std::vector<Metric> EndToEnd(const LoadResult& r, double setup_s,
       {"qps", static_cast<double>(r.attempted - r.failed) / r.wall,
        "queries/s"},
       {"lat_p50_ms", SortedPercentile(latency, 50), "ms"},
-      {"lat_p99_ms", SortedPercentile(latency, 99), "ms"},
+      {"lat_p95_ms", SortedPercentile(latency, 95), "ms"},
       {"cpu_ms_per_query", r.cpu * 1e3 / n, "ms"},
       {"wire_bytes_per_query", wire / n, "bytes"},
       {"peak_rss_mb", peak_rss_mb, "MiB"},
@@ -363,9 +368,8 @@ int Run(const Args& args) {
   if (failed > 0 || violations > 0) correct = false;
 
   const size_t n = reported->samples.size();
-  std::printf(
-      "closed loop: %zu clients, %zu queries in %.3f s, %zu beyond p99\n",
-      spec->clients, n, reported->wall, SamplesBeyond(n, 99));
+  std::printf("closed loop: %zu clients, %zu queries in %.3f s\n",
+              spec->clients, n, reported->wall);
   for (const LoadResult* window : {&untraced, reported}) {
     if (SamplesBeyond(window->samples.size(), 99) < kMinBeyondP99) {
       std::fprintf(stderr,
@@ -386,6 +390,10 @@ int Run(const Args& args) {
       "%.1f%% of the processors' time (steal)\n",
       qps * cpu_ms / 1e3, ::sysconf(_SC_NPROCESSORS_ONLN),
       untraced.steal * 100.0);
+  // The p99 is printed, not gated: a host's stalls set it (README.md).
+  std::printf("lat_p99_ms %.6g ms, %zu of %zu samples beyond it\n",
+              SortedPercentile(LatenciesMs(*reported), 99),
+              SamplesBeyond(n, 99), n);
   std::printf("fail_ratio %.6g (%zu of %zu failed), guarantee violations %zu\n",
               attempted == 0 ? 0.0
                              : static_cast<double>(failed) /
