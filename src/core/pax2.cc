@@ -218,104 +218,6 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
   return st;
 }
 
-/// One subtree's share of the combined pass, restricted to the
-/// concrete-init case (annotations on, qualifier-free): the stack holds
-/// only constants, so every selection value constant-folds — the walk
-/// never interns a formula, touches no shared arena, and its outputs
-/// (answers in traversal order, virtual tops of constants) concatenate to
-/// the serial pass's byte for byte. This is the gate that makes the PaX2
-/// split sound: with variables in play, And/Or canonicalize operands by
-/// arena handle order, so a privately built formula may differ
-/// *structurally* from the serial one even when it is equivalent.
-struct ConstSubtreeResult {
-  std::vector<NodeId> answers;  ///< finals that folded to true, in order
-  std::vector<SelUpMessage::VirtualTop> virtual_tops;
-  uint64_t ops = 0;
-};
-
-/// One node's pre-order selection vector from its parent's, constants
-/// only. The gate's invariant is enforced loudly: a non-constant value
-/// would mean the split produced different bytes than the serial pass.
-std::vector<Formula> ConstSelStep(const Tree& tree, const CompiledQuery& query,
-                                  FormulaDomain* domain, NodeId v,
-                                  const std::vector<Formula>& parent_vec,
-                                  uint64_t* ops) {
-  const auto& sel = query.selection();
-  const size_t m = sel.size();
-  std::vector<Formula> vec(m, kFalseFormula);
-  for (size_t i = 1; i < m; ++i) {
-    const CompiledQuery::SelEntry& e = sel[i];
-    switch (e.kind) {
-      case SelKind::kLabel:
-      case SelKind::kWildcard: {
-        const bool term =
-            tree.IsElement(v) &&
-            (e.kind == SelKind::kWildcard || tree.label(v) == e.label);
-        vec[i] = term ? parent_vec[i - 1] : kFalseFormula;
-        break;
-      }
-      case SelKind::kDescend:
-        vec[i] = domain->Or(vec[i - 1], parent_vec[i]);
-        break;
-      case SelKind::kSelfFilter:
-        vec[i] = vec[i - 1];
-        break;
-      case SelKind::kRoot:
-        PAXML_CHECK(false);
-        break;
-    }
-    ++*ops;
-  }
-  PAXML_CHECK(vec[m - 1] == kFalseFormula || vec[m - 1] == kTrueFormula);
-  return vec;
-}
-
-void WalkConstSubtree(const Tree& tree, const CompiledQuery& query,
-                      NodeId start, const std::vector<Formula>& parent_init,
-                      ConstSubtreeResult* out) {
-  FormulaArena arena;  // never interns: all values are kFalse/kTrue
-  FormulaDomain domain(&arena);
-  const size_t last = query.selection().size() - 1;
-
-  struct Item {
-    NodeId v;
-    bool expanded;
-  };
-  std::vector<Item> work = {{start, false}};
-  std::vector<std::vector<Formula>> stack;
-  stack.push_back(parent_init);
-
-  while (!work.empty()) {
-    Item item = work.back();
-    work.pop_back();
-    const NodeId v = item.v;
-
-    if (item.expanded) {
-      // Post-order is inert here: no qualifier entries, no qz locals.
-      if (tree.first_child(v) != kNullNode) stack.pop_back();
-      continue;
-    }
-
-    const std::vector<Formula>& parent_vec = stack.back();
-
-    if (tree.IsVirtual(v)) {
-      out->virtual_tops.push_back(
-          SelUpMessage::VirtualTop{tree.fragment_ref(v), parent_vec});
-      continue;
-    }
-
-    std::vector<Formula> vec =
-        ConstSelStep(tree, query, &domain, v, parent_vec, &out->ops);
-    if (vec[last] == kTrueFormula) out->answers.push_back(v);
-
-    work.push_back({v, true});
-    if (tree.first_child(v) != kNullNode) {
-      for (NodeId c : tree.children(v)) work.push_back({c, false});
-      stack.push_back(std::move(vec));
-    }
-  }
-}
-
 /// PaX2's two visits as runtime handlers: kSelRequest runs the combined
 /// pass and replies with QualUp + SelUp in one envelope; kAnswerRequest
 /// settles candidates against the resolved values delivered just before it
@@ -351,18 +253,6 @@ class Pax2Program : public XmlMessageHandlers {
         std::make_unique<Pax2FragmentState>(RunCombinedPass(frag, query_, init));
     return SendCombinedReply(ctx, f);
   }
-
-  /// The split path's join (runtime/site_runtime.h SplitTask::Finish):
-  /// adopts the state a Pax2SplitTask assembled from its subtree walks and
-  /// sends the exact reply OnSelRequest would have.
-  Status CompleteSplit(SiteContext& ctx, FragmentId f,
-                       std::unique_ptr<Pax2FragmentState> st) {
-    state_[static_cast<size_t>(f)] = std::move(st);
-    return SendCombinedReply(ctx, f);
-  }
-
-  std::unique_ptr<SplitTask> MakeSplitTask(const Envelope& env,
-                                           const WirePart& part) override;
 
   Status OnSelDown(SiteContext&, SelDownMessage message) override {
     state_[static_cast<size_t>(message.fragment)]->sel_down =
@@ -444,12 +334,8 @@ class Pax2Program : public XmlMessageHandlers {
   std::vector<GlobalNodeId> TakeAnswers() { return std::move(answers_); }
 
  private:
-  friend class Pax2SplitTask;
-
   /// The combined pass's one reply envelope (qualifier roots + selection
-  /// stack tops + answer counts), built from state_[f] — shared by the
-  /// serial handler and the split join, so the wire bytes cannot drift
-  /// between the two paths.
+  /// stack tops + answer counts), built from state_[f].
   Status SendCombinedReply(SiteContext& ctx, FragmentId f) {
     const Fragment& frag = doc_.fragment(f);
     Pax2FragmentState& st = *state_[static_cast<size_t>(f)];
@@ -508,114 +394,6 @@ class Pax2Program : public XmlMessageHandlers {
   std::vector<std::unique_ptr<Pax2FragmentState>> state_;
   std::vector<GlobalNodeId> answers_;
 };
-
-/// The split form of one fragment's kSelRequest under the concrete-init
-/// gate: items are the fragment root's child subtrees in serial traversal
-/// order (the combined DFS pops children last-first, so items hold the
-/// children REVERSED), each walked by WalkConstSubtree into a private
-/// slot; Finish concatenates [the root's own contributions] + the slots
-/// and replies through Pax2Program::CompleteSplit — the same state and
-/// send path the serial handler uses.
-class Pax2SplitTask : public SplitTask {
- public:
-  /// The visitor pass: the init vector and the root's pre-order step,
-  /// exactly as RunCombinedPass would compute them. Null when the
-  /// fragment has fewer than two root-child subtrees to fan out.
-  static std::unique_ptr<Pax2SplitTask> Make(Pax2Program* program,
-                                             FragmentId f) {
-    const Tree& tree = program->doc_.fragment(f).tree;
-    const NodeId root = tree.root();
-    if (tree.IsVirtual(root)) return nullptr;  // degenerate fragment
-    std::vector<NodeId> items;
-    for (NodeId c : tree.children(root)) items.push_back(c);
-    if (items.size() < 2) return nullptr;
-    std::reverse(items.begin(), items.end());
-
-    auto task = std::unique_ptr<Pax2SplitTask>(new Pax2SplitTask());
-    task->program_ = program;
-    task->f_ = f;
-    task->items_ = std::move(items);
-    task->slots_.resize(task->items_.size());
-
-    FormulaArena arena;  // constants only, like WalkConstSubtree's
-    FormulaDomain domain(&arena);
-    const CompiledQuery& query = program->query_;
-    std::vector<Formula> init;
-    if (f == 0) {
-      // Leading qualifiers are excluded by the gate, so the root qual is
-      // constant true and no doc-qualifier hook is needed.
-      init = MakeDocVector(query, &domain, kTrueFormula,
-                           std::function<Formula(int)>());
-    } else {
-      init = ConstStackInit(
-          program->prune_.parent_vector[static_cast<size_t>(f)]);
-    }
-    task->vec_root_ =
-        ConstSelStep(tree, query, &domain, root, init, &task->root_ops_);
-    task->root_answer_ =
-        task->vec_root_[query.selection().size() - 1] == kTrueFormula;
-    return task;
-  }
-
-  size_t item_count() const override { return items_.size(); }
-
-  void RunItem(size_t item) override {
-    const Tree& tree = program_->doc_.fragment(f_).tree;
-    WalkConstSubtree(tree, program_->query_, items_[item], vec_root_,
-                     &slots_[item]);
-  }
-
-  Status Finish(SiteContext& ctx) override {
-    const Tree& tree = program_->doc_.fragment(f_).tree;
-    auto st = std::make_unique<Pax2FragmentState>();
-    st->arena = std::make_unique<FormulaArena>();
-    const size_t ec = program_->query_.entries().size();  // 0 by the gate
-    st->qual_vectors.entry_count = ec;
-    st->qual_vectors.qv.assign(tree.size() * ec, kFalseFormula);
-    st->qual_vectors.qdv.assign(tree.size() * ec, kFalseFormula);
-    st->ops = root_ops_;
-    if (root_answer_) st->answers.push_back(tree.root());
-    for (ConstSubtreeResult& slot : slots_) {
-      st->answers.insert(st->answers.end(), slot.answers.begin(),
-                         slot.answers.end());
-      st->virtual_tops.insert(
-          st->virtual_tops.end(),
-          std::make_move_iterator(slot.virtual_tops.begin()),
-          std::make_move_iterator(slot.virtual_tops.end()));
-      st->ops += slot.ops;
-    }
-    return program_->CompleteSplit(ctx, f_, std::move(st));
-  }
-
- private:
-  Pax2SplitTask() = default;
-
-  Pax2Program* program_ = nullptr;
-  FragmentId f_ = kNullFragment;
-  std::vector<Formula> vec_root_;  ///< constants: valid in every arena
-  bool root_answer_ = false;
-  uint64_t root_ops_ = 0;
-  std::vector<NodeId> items_;  ///< root children, serial traversal order
-  std::vector<ConstSubtreeResult> slots_;  ///< one slot per item
-};
-
-std::unique_ptr<SplitTask> Pax2Program::MakeSplitTask(const Envelope&,
-                                                      const WirePart& part) {
-  if (part.kind != MessageKind::kSelRequest) return nullptr;
-  // Only the concrete-init path splits (see WalkConstSubtree): with a
-  // constant stack and no qualifiers every selection value constant-folds,
-  // so subtree walks share no arena and reproduce the serial bytes
-  // exactly. Variable stacks hash-cons into one arena whose operand
-  // canonicalization is handle-order dependent — not splittable without
-  // changing the shipped encodings.
-  if (!concrete_init_ || query_.has_qualifiers() ||
-      !query_.entries().empty()) {
-    return nullptr;
-  }
-  const FragmentId f = part.fragment;
-  if (f < 0 || static_cast<size_t>(f) >= doc_.size()) return nullptr;
-  return Pax2SplitTask::Make(this, f);
-}
 
 bool ConcreteInit(const CompiledQuery& query, const PaxOptions& options) {
   return options.use_annotations && !query.has_qualifiers();

@@ -22,157 +22,6 @@ struct ReachRow {
   std::vector<NodeId> deps;   ///< sorted global heads of crossed cut edges
 };
 
-/// The per-entry traversal of one fragment's kReachRequest: local BFS from
-/// `entry` over the fragment-internal edges, then the row's (direct, deps)
-/// result. Shared by the serial handler and the split task — one entry's
-/// traversal never reads another's state, which is exactly why the request
-/// splits cleanly (Fan, Wang & Wu: per-site parallelism must go *inside*
-/// the fragment's local traversal).
-struct ReachRowResult {
-  bool direct = false;
-  std::vector<NodeId> deps;
-};
-
-ReachRowResult TraverseEntry(const GraphFragment& frag, int32_t entry,
-                             int32_t local_target, std::vector<bool>* visited,
-                             std::vector<int32_t>* visited_scratch) {
-  visited_scratch->clear();
-  std::deque<int32_t> queue;
-  (*visited)[static_cast<size_t>(entry)] = true;
-  visited_scratch->push_back(entry);
-  queue.push_back(entry);
-  while (!queue.empty()) {
-    const int32_t u = queue.front();
-    queue.pop_front();
-    for (int32_t v : frag.local_out[static_cast<size_t>(u)]) {
-      if ((*visited)[static_cast<size_t>(v)]) continue;
-      (*visited)[static_cast<size_t>(v)] = true;
-      visited_scratch->push_back(v);
-      queue.push_back(v);
-    }
-  }
-  ReachRowResult result;
-  result.direct = local_target >= 0 &&
-                  (*visited)[static_cast<size_t>(local_target)];
-  for (int32_t u : *visited_scratch) {
-    const auto& heads = frag.cut_out[static_cast<size_t>(u)];
-    result.deps.insert(result.deps.end(), heads.begin(), heads.end());
-  }
-  std::sort(result.deps.begin(), result.deps.end());
-  result.deps.erase(std::unique(result.deps.begin(), result.deps.end()),
-                    result.deps.end());
-  for (int32_t u : *visited_scratch) (*visited)[static_cast<size_t>(u)] = false;
-  return result;
-}
-
-/// Entry vertices of fragment f under `query`: the in-boundary, plus the
-/// source when it lives here (nothing enters the source "from outside" but
-/// the query does). Sorted ascending local index == ascending global id.
-std::vector<int32_t> EntryVertices(const GraphFragmentStore& store,
-                                   const ReachQuery& query, FragmentId f) {
-  const GraphFragment& frag = store.fragment(f);
-  std::vector<int32_t> entries = frag.in_boundary;
-  if (query.source >= 0 && query.source < store.vertex_count() &&
-      store.fragment_of(query.source) == f) {
-    entries.push_back(frag.LocalIndex(query.source));
-    std::sort(entries.begin(), entries.end());
-    entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
-  }
-  return entries;
-}
-
-int32_t LocalTarget(const GraphFragmentStore& store, const ReachQuery& query,
-                    FragmentId f) {
-  return (query.target >= 0 && query.target < store.vertex_count() &&
-          store.fragment_of(query.target) == f)
-             ? store.fragment(f).LocalIndex(query.target)
-             : -1;
-}
-
-/// One row's encoding, detached from the report stream: `bytes` starts
-/// with the row's *cross-row* vertex delta — computable per item because
-/// the delta base is simply the previous entry's global id, known up
-/// front. Concatenating the rows after the varint(count) header reproduces
-/// the serial encoding byte for byte.
-struct EncodedReachRow {
-  std::string bytes;
-  uint64_t logical = 0;
-};
-
-EncodedReachRow EncodeReachRow(uint64_t vertex, uint64_t prev_vertex,
-                               const ReachRowResult& row) {
-  ByteWriter writer;
-  writer.PutVarint(vertex - prev_vertex);  // wraps, as DeltaIdEncoder does
-  EncodedReachRow out;
-  out.logical = VarintSize(vertex);
-  writer.PutU8(row.direct ? 1 : 0);
-  writer.PutVarint(row.deps.size());
-  out.logical += 1 + VarintSize(row.deps.size());
-  DeltaIdEncoder dep_delta;  // deps restart per row (each list is sorted)
-  for (NodeId d : row.deps) {
-    dep_delta.Append(static_cast<uint64_t>(d), &writer);
-    out.logical += VarintSize(static_cast<uint64_t>(d));
-  }
-  out.bytes = std::move(writer).Take();
-  return out;
-}
-
-/// The split form of one fragment's kReachRequest: items are the entries,
-/// each traversed into a privately encoded row; Finish concatenates the
-/// rows under the count header and ships the one kReachUp the serial
-/// handler would have.
-class ReachSplitTask : public SplitTask {
- public:
-  ReachSplitTask(const GraphFragmentStore* store, FragmentId f,
-                 std::vector<int32_t> entries, int32_t local_target)
-      : store_(store),
-        f_(f),
-        entries_(std::move(entries)),
-        local_target_(local_target),
-        rows_(entries_.size()) {}
-
-  size_t item_count() const override { return entries_.size(); }
-
-  void RunItem(size_t item) override {
-    const GraphFragment& frag = store_->fragment(f_);
-    std::vector<bool> visited(frag.vertices.size(), false);
-    std::vector<int32_t> scratch;
-    const int32_t entry = entries_[item];
-    const ReachRowResult row =
-        TraverseEntry(frag, entry, local_target_, &visited, &scratch);
-    const uint64_t vertex =
-        static_cast<uint64_t>(frag.vertices[static_cast<size_t>(entry)]);
-    const uint64_t prev =
-        item == 0 ? 0
-                  : static_cast<uint64_t>(frag.vertices[static_cast<size_t>(
-                        entries_[item - 1])]);
-    rows_[item] = EncodeReachRow(vertex, prev, row);
-  }
-
-  Status Finish(SiteContext& ctx) override {
-    ByteWriter writer;
-    writer.PutVarint(entries_.size());
-    uint64_t logical = VarintSize(entries_.size());
-    for (const EncodedReachRow& row : rows_) {
-      writer.PutBytes(row.bytes.data(), row.bytes.size());
-      logical += row.logical;
-    }
-    Envelope env;
-    env.to = ctx.query_site();
-    env.parts.push_back(
-        {MessageKind::kReachUp, f_, std::move(writer).Take(), true, logical});
-    ctx.Send(std::move(env));
-    return Status::OK();
-  }
-
- private:
-  const GraphFragmentStore* store_;
-  const FragmentId f_;
-  const std::vector<int32_t> entries_;
-  const int32_t local_target_;
-  std::vector<EncodedReachRow> rows_;  ///< one slot per item
-};
-
 /// Reachability as runtime handlers. Site side (kReachRequest) is
 /// stateless — it reads the const store and query only, so per-fragment
 /// lanes (site_threads > 1) need no per-fragment state slots at all.
@@ -201,19 +50,6 @@ class ReachProgram : public MessageHandlers {
     }
   }
 
-  std::unique_ptr<SplitTask> MakeSplitTask(const Envelope&,
-                                           const WirePart& part) override {
-    if (part.kind != MessageKind::kReachRequest) return nullptr;
-    const FragmentId f = part.fragment;
-    if (f < 0 || static_cast<size_t>(f) >= store_->fragment_count()) {
-      return nullptr;
-    }
-    std::vector<int32_t> entries = EntryVertices(*store_, query_, f);
-    if (entries.size() < 2) return nullptr;  // nothing to fan out
-    return std::make_unique<ReachSplitTask>(store_, f, std::move(entries),
-                                            LocalTarget(*store_, query_, f));
-  }
-
   bool AllReported() const {
     return std::all_of(reported_.begin(), reported_.end(),
                        [](bool b) { return b; });
@@ -238,8 +74,21 @@ class ReachProgram : public MessageHandlers {
 Status ReachProgram::OnReachRequest(SiteContext& ctx, FragmentId f) {
   const GraphFragment& frag = store_->fragment(f);
 
-  const std::vector<int32_t> entries = EntryVertices(*store_, query_, f);
-  const int32_t local_target = LocalTarget(*store_, query_, f);
+  // Entry vertices: the in-boundary, plus the source when it lives here
+  // (nothing enters the source "from outside" but the query does).
+  std::vector<int32_t> entries = frag.in_boundary;
+  if (query_.source >= 0 && query_.source < store_->vertex_count() &&
+      store_->fragment_of(query_.source) == f) {
+    entries.push_back(frag.LocalIndex(query_.source));
+    std::sort(entries.begin(), entries.end());
+    entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
+  }
+
+  const int32_t local_target =
+      (query_.target >= 0 && query_.target < store_->vertex_count() &&
+       store_->fragment_of(query_.target) == f)
+          ? frag.LocalIndex(query_.target)
+          : -1;
 
   // One local traversal per entry; rows encode in entry order (ascending
   // global id), deps sorted — canonical bytes, so remote peers reproduce
@@ -250,18 +99,49 @@ Status ReachProgram::OnReachRequest(SiteContext& ctx, FragmentId f) {
   ByteWriter writer;
   writer.PutVarint(entries.size());
   uint64_t logical = VarintSize(entries.size());
-  uint64_t prev_vertex = 0;
+  DeltaIdEncoder vertex_delta;
   std::vector<int32_t> visited_scratch;
   std::vector<bool> visited(frag.vertices.size(), false);
   for (int32_t entry : entries) {
-    const ReachRowResult row =
-        TraverseEntry(frag, entry, local_target, &visited, &visited_scratch);
+    visited_scratch.clear();
+    std::deque<int32_t> queue;
+    visited[static_cast<size_t>(entry)] = true;
+    visited_scratch.push_back(entry);
+    queue.push_back(entry);
+    while (!queue.empty()) {
+      const int32_t u = queue.front();
+      queue.pop_front();
+      for (int32_t v : frag.local_out[static_cast<size_t>(u)]) {
+        if (visited[static_cast<size_t>(v)]) continue;
+        visited[static_cast<size_t>(v)] = true;
+        visited_scratch.push_back(v);
+        queue.push_back(v);
+      }
+    }
+    const bool direct =
+        local_target >= 0 && visited[static_cast<size_t>(local_target)];
+    std::vector<NodeId> deps;
+    for (int32_t u : visited_scratch) {
+      const auto& heads = frag.cut_out[static_cast<size_t>(u)];
+      deps.insert(deps.end(), heads.begin(), heads.end());
+    }
+    std::sort(deps.begin(), deps.end());
+    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+
     const uint64_t vertex =
         static_cast<uint64_t>(frag.vertices[static_cast<size_t>(entry)]);
-    const EncodedReachRow encoded = EncodeReachRow(vertex, prev_vertex, row);
-    prev_vertex = vertex;
-    writer.PutBytes(encoded.bytes.data(), encoded.bytes.size());
-    logical += encoded.logical;
+    vertex_delta.Append(vertex, &writer);
+    logical += VarintSize(vertex);
+    writer.PutU8(direct ? 1 : 0);
+    writer.PutVarint(deps.size());
+    logical += 1 + VarintSize(deps.size());
+    DeltaIdEncoder dep_delta;  // deps restart per row (each list is sorted)
+    for (NodeId d : deps) {
+      dep_delta.Append(static_cast<uint64_t>(d), &writer);
+      logical += VarintSize(static_cast<uint64_t>(d));
+    }
+
+    for (int32_t u : visited_scratch) visited[static_cast<size_t>(u)] = false;
   }
 
   Envelope env;

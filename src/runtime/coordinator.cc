@@ -115,7 +115,7 @@ Status Coordinator::RunRound(const std::string& label,
   stats_.memo_saved_seconds += saved.saved_seconds;
 
   // Likewise pool saturation: local fan-out drains here, a remote peer's
-  // arrives through its RoundDone record (wire protocol v6).
+  // arrives through its RoundDone record.
   const PoolStats pool = driver_->TakePoolStats();
   stats_.pool_tasks += pool.tasks;
   stats_.pool_busy_peak = std::max(stats_.pool_busy_peak, pool.busy_peak);

@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -150,11 +149,7 @@ Status SiteDriver::DeliverParallelImpl(SiteId site, std::vector<Envelope> mail,
                                        double* seconds) {
   PAXML_CHECK_LT(static_cast<size_t>(site), sites_.size());
   if (memo_ != nullptr) return DeliverMemoized(site, std::move(mail), seconds);
-  // A single envelope is still worth walking when splitting is on — the
-  // one-hot-fragment round is exactly one big request envelope.
-  const size_t min_mail =
-      transport_->options().split_threshold_pct > 0 ? 1 : 2;
-  if (!parallel_enabled() || mail.size() < min_mail) {
+  if (!parallel_enabled() || mail.size() < 2) {
     return Timed(seconds, [&] {
       return sites_[static_cast<size_t>(site)].Deliver(std::move(mail));
     });
@@ -197,103 +192,29 @@ Status SiteDriver::DeliverSegmentParallel(SiteId site,
     lanes[it->second].push_back(k);
   }
 
-  // Split heuristic (DESIGN.md §14): the largest lane by byte weight
-  // splits when it carries at least split_threshold_pct of the segment,
-  // holds a single envelope, and the algorithm can actually split its
-  // request (MakeSplitTask non-null with >= 2 items). Building the task is
-  // the visitor pass — serial work, measured as such.
-  std::unique_ptr<SplitTask> split;
-  size_t hot_index = n;
-  const uint64_t split_pct = transport_->options().split_threshold_pct;
-  if (split_pct > 0) {
-    std::vector<uint64_t> weight(lanes.size(), 0);
-    uint64_t total = 0;
-    for (size_t l = 0; l < lanes.size(); ++l) {
-      for (size_t k : lanes[l]) {
-        // +64 per envelope keeps tiny request lanes comparable by count.
-        weight[l] += (*segment)[k].WireBytes() + 64;
-      }
-      total += weight[l];
-    }
-    const size_t hot = static_cast<size_t>(
-        std::max_element(weight.begin(), weight.end()) - weight.begin());
-    if (weight[hot] * 100 >= split_pct * total && lanes[hot].size() == 1) {
-      const size_t k = lanes[hot][0];
-      const Envelope& env = (*segment)[k];
-      (void)Timed(seconds, [&] {
-        if (!env.parts.empty()) {
-          split = handlers_->MakeSplitTask(env, env.parts.back());
-        }
-        return Status::OK();
-      });
-      if (split != nullptr && split->item_count() >= 2) {
-        hot_index = k;
-        lanes.erase(lanes.begin() + static_cast<ptrdiff_t>(hot));
-      } else {
-        split.reset();  // the serial lane path evaluates it like any other
-      }
-    }
-  }
-
-  if (split == nullptr && lanes.size() < 2) {
-    // One fragment, nothing to split: the serial fast path (no capture).
+  if (lanes.size() < 2) {  // one fragment: nothing to overlap
     return Timed(seconds, [&] {
       return sites_[static_cast<size_t>(site)].Deliver(std::move(*segment));
     });
   }
-  if (split != nullptr && lanes.empty()) {
-    // The split lane IS the segment (a single envelope): there is no
-    // interleaving to reproduce, so bypass the capture plane entirely.
-    return DeliverSplitDirect(site, std::move((*segment)[hot_index]),
-                              std::move(split), seconds);
-  }
-
-  // Cap the lane fan-out at site_threads by merging lanes round-robin;
-  // sorting each task's indices restores original order, so same-lane
-  // envelopes still mutate their fragment's state in serial order.
-  const size_t lane_task_count = std::min(site_threads_, lanes.size());
-  std::vector<std::vector<size_t>> assignment(lane_task_count);
+  // Cap the fan-out at site_threads by merging lanes round-robin; sorting
+  // each task's indices restores original order, so same-lane envelopes
+  // still mutate their fragment's state in serial order.
+  const size_t task_count = std::min(site_threads_, lanes.size());
+  std::vector<std::vector<size_t>> assignment(task_count);
   for (size_t l = 0; l < lanes.size(); ++l) {
-    auto& dst = assignment[l % lane_task_count];
+    auto& dst = assignment[l % task_count];
     dst.insert(dst.end(), lanes[l].begin(), lanes[l].end());
   }
   for (auto& indices : assignment) std::sort(indices.begin(), indices.end());
 
-  // Each slot is written by exactly one task (indices partition [0, n),
-  // minus the hot envelope's slot, which the caller thread owns).
+  // Each slot is written by exactly one task (indices partition [0, n)).
   std::vector<Status> statuses(n);
   std::vector<std::vector<Envelope>> sends(n);
-
-  // The hot lane's capture context: pre-parts (down-messages riding ahead
-  // of the request in its envelope) dispatch into it serially before the
-  // batch; Finish() emits into it after the batch joins; TakeSent() then
-  // yields the lane's sends in exactly the serial part order.
-  std::optional<CaptureTransport> hot_capture;
-  std::optional<SiteContext> hot_ctx;
-  size_t chunk_count = 0;
-  if (split != nullptr) {
-    hot_capture.emplace(transport_->options());
-    hot_ctx.emplace(site, cluster_, &*hot_capture, run_);
-    const Envelope& env = (*segment)[hot_index];
-    statuses[hot_index] = Timed(seconds, [&] {
-      for (size_t p = 0; p + 1 < env.parts.size(); ++p) {
-        PAXML_RETURN_NOT_OK(handlers_->OnPart(*hot_ctx, env, env.parts[p]));
-      }
-      return Status::OK();
-    });
-    if (statuses[hot_index].ok()) {
-      chunk_count = std::min(site_threads_, split->item_count());
-    }
-  }
-
-  // One batch for everything: the cold lanes' tasks and the hot lane's
-  // item chunks run interleaved on the same pool, so the segment costs
-  // max-over-all-tasks, not lanes-then-split.
-  const size_t task_count = lane_task_count + chunk_count;
   std::vector<double> task_seconds(task_count, 0);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(task_count);
-  for (size_t t = 0; t < lane_task_count; ++t) {
+  for (size_t t = 0; t < task_count; ++t) {
     tasks.push_back([this, site, segment, &statuses, &sends, &task_seconds, t,
                      indices = std::move(assignment[t])] {
       const double cpu_start = ThreadCpuSeconds();
@@ -309,30 +230,13 @@ Status SiteDriver::DeliverSegmentParallel(SiteId site,
       task_seconds[t] = ThreadCpuSeconds() - cpu_start;
     });
   }
-  SplitTask* split_raw = split.get();
-  for (size_t c = 0; c < chunk_count; ++c) {
-    tasks.push_back(
-        [split_raw, c, chunk_count, lane_task_count, &task_seconds] {
-          const double cpu_start = ThreadCpuSeconds();
-          const size_t items = split_raw->item_count();
-          for (size_t item = c; item < items; item += chunk_count) {
-            split_raw->RunItem(item);
-          }
-          task_seconds[lane_task_count + c] = ThreadCpuSeconds() - cpu_start;
-        });
-  }
   pool_->RunAll(std::move(tasks));
   AccountBatch(task_count);
   if (seconds != nullptr) {
-    // The segment costs what its slowest task costs — measured as that
+    // The segment costs what its slowest lane costs — measured as that
     // task's own CPU time, so the metric holds on oversubscribed hosts.
     *seconds += *std::max_element(task_seconds.begin(), task_seconds.end());
   }
-  if (split != nullptr && statuses[hot_index].ok()) {
-    statuses[hot_index] =
-        Timed(seconds, [&] { return split->Finish(*hot_ctx); });
-  }
-  if (split != nullptr) sends[hot_index] = hot_capture->TakeSent();
 
   // Replay into the real plane in serial mail order: staging order, seal
   // points and frame sequences come out bit-identical to the serial
@@ -353,42 +257,6 @@ Status SiteDriver::DeliverSegmentParallel(SiteId site,
   });
   (void)replayed;
   return stop == n ? Status::OK() : statuses[stop];
-}
-
-Status SiteDriver::DeliverSplitDirect(SiteId site, Envelope env,
-                                      std::unique_ptr<SplitTask> split,
-                                      double* seconds) {
-  // With the whole segment split, the serial order IS the pre-parts'
-  // sends followed by Finish()'s — which is exactly how they are emitted
-  // here, straight into the real plane: no capture, no replay.
-  SiteContext ctx(site, cluster_, transport_, run_);
-  PAXML_RETURN_NOT_OK(Timed(seconds, [&] {
-    for (size_t p = 0; p + 1 < env.parts.size(); ++p) {
-      PAXML_RETURN_NOT_OK(handlers_->OnPart(ctx, env, env.parts[p]));
-    }
-    return Status::OK();
-  }));
-  const size_t items = split->item_count();
-  const size_t chunk_count = std::min(site_threads_, items);
-  std::vector<double> task_seconds(chunk_count, 0);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(chunk_count);
-  SplitTask* split_raw = split.get();
-  for (size_t c = 0; c < chunk_count; ++c) {
-    tasks.push_back([split_raw, c, chunk_count, items, &task_seconds] {
-      const double cpu_start = ThreadCpuSeconds();
-      for (size_t item = c; item < items; item += chunk_count) {
-        split_raw->RunItem(item);
-      }
-      task_seconds[c] = ThreadCpuSeconds() - cpu_start;
-    });
-  }
-  pool_->RunAll(std::move(tasks));
-  AccountBatch(chunk_count);
-  if (seconds != nullptr) {
-    *seconds += *std::max_element(task_seconds.begin(), task_seconds.end());
-  }
-  return Timed(seconds, [&] { return split->Finish(ctx); });
 }
 
 void SiteDriver::AccountBatch(size_t tasks_submitted) {

@@ -24,21 +24,6 @@
 // because every algorithm's site-side state is confined to per-fragment
 // slots (the MessageHandlers threading contract, runtime/site_runtime.h).
 //
-// Intra-fragment splitting (DESIGN.md §14): lanes cannot help a site whose
-// round is dominated by ONE large fragment. With
-// TransportOptions::split_threshold_pct set, a segment whose largest lane
-// carries at least that percentage of the segment's byte weight (and holds
-// a single envelope) is offered to the algorithm via
-// MessageHandlers::MakeSplitTask — the paratreet visitor/interact idiom:
-// the evaluator builds independent sub-items, the driver runs them as item
-// chunks in the SAME pool batch as the other lanes' tasks, and the
-// evaluator's Finish() emits byte-identical sends in the serial order.
-// When the split lane is the whole segment there is no interleaving to
-// reproduce, so the capture plane is bypassed and Finish() sends straight
-// into the real transport. `parallel_seconds` is max over every task of
-// the batch (lanes and chunks alike), so the metric reflects the finer
-// fan-out.
-//
 // Fragment-stage memoization (DESIGN.md §12): a driver built with a
 // MemoSession serves repeated lane deliveries from the memo instead of
 // evaluating them. The memoized walk is serial (a hit replays recorded
@@ -140,12 +125,6 @@ class SiteDriver {
                                 double* seconds);
   Status DeliverMemoized(SiteId site, std::vector<Envelope> mail,
                          double* seconds);
-  /// The whole-segment split fast path: `env` is the only envelope of its
-  /// segment, so Finish() sends straight into the real transport (no
-  /// capture, no replay).
-  Status DeliverSplitDirect(SiteId site, Envelope env,
-                            std::unique_ptr<SplitTask> split,
-                            double* seconds);
   void AccountBatch(size_t tasks_submitted);
 
   std::vector<SiteRuntime> sites_;

@@ -135,32 +135,6 @@ class EnvelopeStream {
 /// (up-messages, query/data ships) always run single-threaded on the
 /// driver thread and may keep cross-fragment state (unifier, answer
 /// assembly) unlocked.
-/// One splittable request, produced by MessageHandlers::MakeSplitTask: the
-/// paratreet visitor/interact idiom (DESIGN.md §14). Construction is the
-/// cheap visitor pass — it builds `item_count()` *independent* work items
-/// (per-entry local traversals for the graph family, per-root-child
-/// qualifier/selection subtrees for the XML family). RunItem is the
-/// interact pass: the driver calls it once per item, concurrently for
-/// distinct items, on the site worker pool — items must not share mutable
-/// state (each writes private slots sized at construction). Finish runs
-/// serially after every item completed and emits through `ctx` exactly the
-/// sends the unsplit handler would have, byte for byte and in the same
-/// order — the bit-identity contract is the evaluator's to keep; the
-/// driver only supplies the threads and the replay position.
-class SplitTask {
- public:
-  virtual ~SplitTask() = default;
-
-  virtual size_t item_count() const = 0;
-
-  /// Computes item `item` into its private slot. Called at most once per
-  /// item; concurrent across distinct items; must not send.
-  virtual void RunItem(size_t item) = 0;
-
-  /// Combines the item slots and emits the handler's sends through `ctx`.
-  virtual Status Finish(SiteContext& ctx) = 0;
-};
-
 class MessageHandlers {
  public:
   virtual ~MessageHandlers() = default;
@@ -170,21 +144,6 @@ class MessageHandlers {
   /// address and opaque payload bytes. The handler owns all decoding.
   virtual Status OnPart(SiteContext& ctx, const Envelope& env,
                         const WirePart& part) = 0;
-
-  /// Splittable hook: a task evaluating `part` as independent sub-items, or
-  /// null when this part cannot (or should not) split — the default. The
-  /// driver asks only for the final part of a request envelope on a lane it
-  /// decided to split (earlier parts of the envelope were already
-  /// dispatched serially through OnPart, so down-messages are in place);
-  /// a null return simply falls back to the serial OnPart path. The
-  /// returned task must produce byte-identical sends to OnPart on the same
-  /// part.
-  virtual std::unique_ptr<SplitTask> MakeSplitTask(const Envelope& env,
-                                                   const WirePart& part) {
-    (void)env;
-    (void)part;
-    return nullptr;
-  }
 };
 
 /// Dispatch endpoint for one site.

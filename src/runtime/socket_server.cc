@@ -187,10 +187,10 @@ Status SiteServer::ServeConnection(int fd) {
   // no other way to tear the connection down).
   std::mutex conn_status_mu;
   Status conn_status;
-  // Cross-run round fan-out (wire protocol v6), sized by the client's
-  // Hello capped by the operator. Declared AFTER everything a round task
-  // borrows: its destructor drains and joins in-flight tasks first, so no
-  // task outlives the plane, the run map or the mutexes above.
+  // Cross-run round fan-out, sized by the client's Hello capped by the
+  // operator. Declared AFTER everything a round task borrows: its
+  // destructor drains and joins in-flight tasks first, so no task outlives
+  // the plane, the run map or the mutexes above.
   std::shared_ptr<WorkerPool> rounds_pool;
 
   auto send_error = [&](RunId run, const std::string& message) -> Status {
@@ -246,13 +246,15 @@ Status SiteServer::ServeConnection(int fd) {
       if (record.type != RecordType::kHello) {
         return Status::NetworkError("expected hello");
       }
-      PAXML_ASSIGN_OR_RETURN(HelloRecord hello, HelloRecord::Decode(&reader));
-      // v4/v5 clients are still welcome — the newer knobs (codecs in v5,
-      // pool saturation in v6) simply default off for them.
-      if (hello.version < 4 || hello.version > kWireProtocolVersion) {
-        (void)send_error(kNullRun, "wire protocol version mismatch");
-        return Status::NetworkError("wire protocol version mismatch");
+      // A Hello of another version (or a garbled one) is answered with
+      // the reason before the connection drops, so the client fails at
+      // its handshake instead of on a closed socket.
+      Result<HelloRecord> decoded = HelloRecord::Decode(&reader);
+      if (!decoded.ok()) {
+        (void)send_error(kNullRun, decoded.status().message());
+        return decoded.status();
       }
+      const HelloRecord& hello = *decoded;
       if (hello.site != site_) {
         (void)send_error(kNullRun, "this peer serves site " +
                                        std::to_string(site_));
@@ -276,10 +278,6 @@ Status SiteServer::ServeConnection(int fd) {
       if (site_threads > 1) {
         site_pool = std::make_shared<WorkerPool>(site_threads);
       }
-      // Intra-fragment splitting: mirror the client's threshold so this
-      // site's dominant lanes split exactly like the client's local sites'
-      // (a percentage needs no bounding — values > 100 just never fire).
-      options.split_threshold_pct = hello.split_threshold_pct;
       // Cross-run fan-out, bounded like the thread count and capped by the
       // operator. One round at a time (the historical loop) needs no pool.
       size_t rounds = static_cast<size_t>(std::min<uint64_t>(
@@ -292,19 +290,14 @@ Status SiteServer::ServeConnection(int fd) {
       // operator allowed it. The client's threshold is mirrored into the
       // plane options only on acceptance, so a declined offer leaves the
       // replies raw (threshold 0 disables the gate entirely).
-      conn_compress = allow_compress_ && !legacy_hello_ &&
-                      hello.version >= 5 &&
-                      (hello.codecs & kCodecLz4) != 0 &&
+      conn_compress = allow_compress_ && (hello.codecs & kCodecLz4) != 0 &&
                       hello.compress_min_bytes > 0;
       options.compress_min_bytes =
           conn_compress ? hello.compress_min_bytes : 0;
       plane = std::make_unique<PeerPlane>(site_, std::move(options));
       HelloAckRecord ack;
       ack.site = site_;
-      if (!legacy_hello_) {
-        ack.version = kWireProtocolVersion;
-        ack.codecs = conn_compress ? kCodecLz4 : 0;
-      }
+      ack.codecs = conn_compress ? kCodecLz4 : 0;
       std::string bytes;
       AppendControlRecord(RecordType::kHelloAck, ack, &bytes);
       hello_done = true;

@@ -18,7 +18,7 @@
 // frames is authoritative, and reproduces the in-process RunStats exactly.
 //
 // Cross-run fan-out (DESIGN.md §14): when a client's Hello asks for
-// peer_concurrent_rounds > 1 (wire protocol v6), independent runs' rounds
+// peer_concurrent_rounds > 1, independent runs' rounds
 // on one connection execute concurrently on a per-connection round pool —
 // each round's reply frames and its kRoundDone go out as one locked write,
 // so the per-run barrier ordering is untouched. Rounds of ONE run are
@@ -101,11 +101,6 @@ class SiteServer {
 
   SiteId site() const { return site_; }
 
-  /// Test hook: answer Hellos with the pre-v5 short HelloAck (site only)
-  /// and never negotiate codecs — impersonates an older server so the
-  /// mixed-version interop path is testable in-process.
-  void set_legacy_hello(bool legacy) { legacy_hello_ = legacy; }
-
  private:
   Status ServeConnection(int fd);
 
@@ -116,7 +111,6 @@ class SiteServer {
   std::shared_ptr<FragmentMemo> memo_;
   bool allow_compress_ = false;
   size_t max_concurrent_rounds_ = 0;
-  bool legacy_hello_ = false;
   int listen_fd_ = -1;
   std::atomic<bool> shutdown_{false};
 };

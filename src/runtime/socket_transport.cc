@@ -75,10 +75,8 @@ SocketTransport::SocketTransport(TransportOptions options)
       const bool offer_lz4 = this->options().compress_min_bytes > 0;
       hello.codecs = offer_lz4 ? kCodecLz4 : 0;
       hello.compress_min_bytes = this->options().compress_min_bytes;
-      // v6 pool knobs: the peer splits dominant lanes with the same
-      // threshold as the local sites and may fan this connection's runs'
-      // rounds out (capped by its operator). A pre-v6 peer ignores both.
-      hello.split_threshold_pct = this->options().split_threshold_pct;
+      // The peer may fan this connection's runs' rounds out (capped by
+      // its operator).
       hello.peer_concurrent_rounds = this->options().peer_concurrent_rounds;
       std::string bytes;
       AppendControlRecord(RecordType::kHello, hello, &bytes);
@@ -95,10 +93,8 @@ SocketTransport::SocketTransport(TransportOptions options)
             status = Status::NetworkError(
                 "peer at " + endpoint + " serves a different site");
           } else {
-            // Graceful fallback: a pre-v5 peer (or one that declined the
-            // codec) simply runs uncompressed — no error, no retry.
-            conn->compress = offer_lz4 && decoded->version >= 5 &&
-                             (decoded->codecs & kCodecLz4) != 0;
+            // A peer that declined the codec simply runs uncompressed.
+            conn->compress = offer_lz4 && (decoded->codecs & kCodecLz4) != 0;
           }
         } else {
           status = ack.status();

@@ -87,7 +87,7 @@ class SocketTransport : public Transport {
     Status status;              ///< why the connection died (net_mu_)
     std::string outbox;         ///< encoded records awaiting a flush (net_mu_)
     FrameReassembler reassembler;  ///< incoming sequence check (net_mu_)
-    /// Both sides negotiated the lz4 codec at Hello (wire protocol v5).
+    /// Both sides negotiated the lz4 codec at Hello.
     /// Written once during the constructor handshake, before the receiver
     /// thread exists; immutable afterwards, so reads need no lock.
     bool compress = false;

@@ -193,21 +193,7 @@ struct TransportOptions {
   /// seal (DESIGN.md §10).
   size_t site_threads = 1;
 
-  /// Intra-fragment work splitting (0 = off): with parallel delivery on
-  /// (site_threads > 1), a round segment whose largest per-fragment lane
-  /// carries at least this percentage of the segment's envelope/byte
-  /// weight has that lane's work split into independent sub-tasks by the
-  /// evaluator (MessageHandlers::MakeSplitTask) and fanned out on the same
-  /// pool as the other lanes — the paratreet visitor/interact idiom, for
-  /// sites whose round is dominated by one large fragment (DESIGN.md §14).
-  /// 100 splits only a lane that IS the whole segment; values below force
-  /// splitting earlier (tests use 1). RunStats stay bit-identical to the
-  /// serial order; `parallel_seconds` becomes max-over-sub-tasks. The
-  /// socket backend mirrors the knob to paxml_site peers via Hello (wire
-  /// protocol v6).
-  uint64_t split_threshold_pct = 0;
-
-  /// Cross-run fan-out on a paxml_site peer (wire protocol v6): how many
+  /// Cross-run fan-out on a paxml_site peer (sent in the Hello): how many
   /// *independent runs'* rounds one connection may deliver concurrently on
   /// the peer's site pool. 1 (the default) keeps the historical
   /// one-round-at-a-time connection loop; higher values let a multi-query
@@ -219,9 +205,9 @@ struct TransportOptions {
 
   /// Frame compression threshold (0 = off): a sealed frame whose encoding
   /// is at least this many bytes is compressed (common/lz4.h) before it
-  /// hits the wire, when the connection negotiated the codec (wire
-  /// protocol v5; in-process backends model the same gate so sync ==
-  /// pooled == socket wire accounting stays exact). Compression is
+  /// hits the wire, when the connection negotiated the codec at Hello
+  /// (in-process backends model the same gate so sync == pooled ==
+  /// socket wire accounting stays exact). Compression is
   /// invisible to every logical counter — total_bytes, answer_bytes,
   /// per-edge splits, visits — and shows up only in RunStats::wire_bytes
   /// (vs wire_raw_bytes) and the modeled/wall latency.
@@ -442,7 +428,7 @@ class Transport {
 
   /// Adds pool-saturation counters to the run's RunStats pool_* fields,
   /// with the same lifetime rules as AccountMemoSavings. The merge path
-  /// for counters a *peer*'s RoundDone reported (wire protocol v6); the
+  /// for counters a *peer*'s RoundDone reported; the
   /// local driver's are merged by the Coordinator's round loop.
   void AccountPoolStats(RunId run, const PoolStats& pool);
 

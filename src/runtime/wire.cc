@@ -59,6 +59,15 @@ Status Errno(const char* what) {
                               std::strerror(errno));
 }
 
+/// What both ends of the handshake report for a Hello or HelloAck whose
+/// version is not this build's.
+Status VersionMismatch(const char* sender, uint32_t version) {
+  return Status::NetworkError(
+      "wire protocol version mismatch: " + std::string(sender) +
+      " speaks v" + std::to_string(version) + ", this build speaks v" +
+      std::to_string(kWireProtocolVersion));
+}
+
 }  // namespace
 
 const char* RecordTypeName(RecordType type) {
@@ -152,58 +161,44 @@ void HelloRecord::Encode(ByteWriter* out) const {
   out->PutVarint(data_chunk_bytes);
   out->PutVarint(max_frame_bytes);
   out->PutVarint(site_threads);
-  // The compression offer exists only since v5; gating on the declared
-  // version lets tests (and future downgrade paths) emit true v4 hellos.
-  if (version >= 5) {
-    out->PutU8(codecs);
-    out->PutVarint(compress_min_bytes);
-  }
-  if (version >= 6) {
-    out->PutVarint(split_threshold_pct);
-    out->PutVarint(peer_concurrent_rounds);
-  }
+  out->PutU8(codecs);
+  out->PutVarint(compress_min_bytes);
+  out->PutVarint(peer_concurrent_rounds);
 }
 
 Result<HelloRecord> HelloRecord::Decode(ByteReader* in) {
   HelloRecord r;
   PAXML_ASSIGN_OR_RETURN(r.version, in->GetU32());
+  // Another version's Hello has another layout: stop before reading it.
+  if (r.version != kWireProtocolVersion) {
+    return VersionMismatch("client", r.version);
+  }
   PAXML_ASSIGN_OR_RETURN(uint64_t site, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(r.site, DecodeId(site));
   PAXML_ASSIGN_OR_RETURN(r.answer_chunk_ids, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(r.data_chunk_bytes, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(r.max_frame_bytes, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(r.site_threads, in->GetVarint());
-  if (r.version >= 5) {
-    PAXML_ASSIGN_OR_RETURN(r.codecs, in->GetU8());
-    PAXML_ASSIGN_OR_RETURN(r.compress_min_bytes, in->GetVarint());
-  }
-  if (r.version >= 6) {
-    PAXML_ASSIGN_OR_RETURN(r.split_threshold_pct, in->GetVarint());
-    PAXML_ASSIGN_OR_RETURN(r.peer_concurrent_rounds, in->GetVarint());
-  }
+  PAXML_ASSIGN_OR_RETURN(r.codecs, in->GetU8());
+  PAXML_ASSIGN_OR_RETURN(r.compress_min_bytes, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(r.peer_concurrent_rounds, in->GetVarint());
   return r;
 }
 
 void HelloAckRecord::Encode(ByteWriter* out) const {
   out->PutVarint(EncodeId(site));
-  if (version >= 5) {
-    out->PutU32(version);
-    out->PutU8(codecs);
-  }
+  out->PutU32(version);
+  out->PutU8(codecs);
 }
 
 Result<HelloAckRecord> HelloAckRecord::Decode(ByteReader* in) {
   HelloAckRecord r;
   PAXML_ASSIGN_OR_RETURN(uint64_t site, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(r.site, DecodeId(site));
-  // Pre-v5 servers end the record here: tolerate the short form and report
-  // the fallback state (old protocol, no codecs).
-  if (in->AtEnd()) {
-    r.version = 4;
-    r.codecs = 0;
-    return r;
-  }
   PAXML_ASSIGN_OR_RETURN(r.version, in->GetU32());
+  if (r.version != kWireProtocolVersion) {
+    return VersionMismatch("peer", r.version);
+  }
   PAXML_ASSIGN_OR_RETURN(r.codecs, in->GetU8());
   return r;
 }
@@ -290,12 +285,9 @@ Result<RoundDoneRecord> RoundDoneRecord::Decode(ByteReader* in) {
   PAXML_ASSIGN_OR_RETURN(r.memo_saved_bytes, in->GetVarint());
   PAXML_ASSIGN_OR_RETURN(uint64_t saved_bits, in->GetU64());
   r.memo_saved_seconds = BitsDouble(saved_bits);
-  // The v6 pool fields are trailing: a pre-v6 peer's record ends here.
-  if (!in->AtEnd()) {
-    PAXML_ASSIGN_OR_RETURN(r.pool_tasks, in->GetVarint());
-    PAXML_ASSIGN_OR_RETURN(r.pool_busy_peak, in->GetVarint());
-    PAXML_ASSIGN_OR_RETURN(r.pool_queue_peak, in->GetVarint());
-  }
+  PAXML_ASSIGN_OR_RETURN(r.pool_tasks, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(r.pool_busy_peak, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(r.pool_queue_peak, in->GetVarint());
   return r;
 }
 

@@ -35,24 +35,19 @@
 
 namespace paxml {
 
-/// Bumped on any incompatible change; peers reject a mismatch at Hello.
-/// v2: HelloRecord grew site_threads (intra-site parallel delivery).
-/// v3: OpenRunRecord carries RunSpec::family (workload fingerprint).
-/// v4: RoundDoneRecord carries fragment-memo savings (serving layer).
-/// v5: frame compression — HelloRecord offers codecs + compress_min_bytes,
-///     HelloAckRecord answers with its own version + accepted codecs, and
-///     kFrameZ records carry compressed frames. A v5 server still accepts
-///     v4 clients (the trailing Hello fields are absent), and a v5 client
-///     falls back to raw frames when the ack is pre-v5 or declines the
-///     codec — mixed versions run correctly, just uncompressed.
-/// v6: pool saturation — HelloRecord mirrors split_threshold_pct
-///     (intra-fragment work splitting) and peer_concurrent_rounds
-///     (cross-run fan-out on the peer's connection loop), and
-///     RoundDoneRecord reports the peer's pool_* counters. A v6 server
-///     accepts v4/v5 clients (the knobs default off), and a v6 client
-///     against an older server simply runs without peer-side splitting —
-///     the RoundDone pool fields are trailing, so old decoders ignore them.
-inline constexpr uint32_t kWireProtocolVersion = 6;
+/// The protocol version, exchanged in both directions at Hello: the server
+/// answers a Hello of any other version with a kError record and drops the
+/// connection, and the client rejects a HelloAck of any other version.
+/// paxml_site is the only peer implementation, so there is no
+/// mixed-version interop — bump on any change to a record's layout.
+/// Current layout: Hello carries the site, the client's message-plane
+/// knobs (chunk sizes, max frame bytes, site_threads), the codec offer with
+/// compress_min_bytes and peer_concurrent_rounds; HelloAck the served site,
+/// the server's version and the accepted codecs; OpenRun the RunSpec
+/// (family included) and a placement fingerprint; RoundDone the round's
+/// duration, status, fragment-memo savings and pool saturation; kFrameZ
+/// an lz4-compressed frame on connections that negotiated the codec.
+inline constexpr uint32_t kWireProtocolVersion = 7;
 
 /// Codec bitmask for the Hello/HelloAck negotiation. The only codec today
 /// is the in-repo LZ4-style block format (common/lz4.h).
@@ -71,7 +66,7 @@ enum class RecordType : uint8_t {
   kRoundStart,     ///< client -> peer: deliver the site's pending mail now
   kRoundDone,      ///< peer -> client: round executed (duration + status)
   kError,          ///< peer -> client: a run failed remotely
-  kFrameZ,         ///< either direction: varint raw size + lz4 block (v5+)
+  kFrameZ,         ///< either direction: varint raw size + lz4 block
 };
 
 const char* RecordTypeName(RecordType type);
@@ -138,36 +133,32 @@ struct HelloRecord {
   /// (paxml_site may cap it; determinism does not depend on the value).
   uint64_t site_threads = 1;
 
-  /// v5+: codecs the client can decode (kCodec* bitmask) and its
+  /// Codecs the client can decode (kCodec* bitmask) and its
   /// compress_min_bytes threshold, mirrored by the peer so both directions
-  /// gate identically (the wire-accounting equality depends on it). Encode
-  /// emits them only when `version` >= 5, so tests can craft true v4
-  /// hellos; Decode reads them only when the received version says so.
+  /// gate identically (the wire-accounting equality depends on it).
   uint8_t codecs = 0;
   uint64_t compress_min_bytes = 0;
 
-  /// v6+: TransportOptions::split_threshold_pct, mirrored so the peer's
-  /// SiteDriver splits a dominant lane the same way the client's local
-  /// sites do, and TransportOptions::peer_concurrent_rounds, the client's
-  /// ask for cross-run round fan-out on this connection (the server caps
-  /// it; paxml_site --rounds). Gated like the v5 fields.
-  uint64_t split_threshold_pct = 0;
+  /// TransportOptions::peer_concurrent_rounds: the client's ask for
+  /// cross-run round fan-out on this connection (the server caps it;
+  /// paxml_site --rounds).
   uint64_t peer_concurrent_rounds = 1;
 
   void Encode(ByteWriter* out) const;
+  /// A Hello of any version but kWireProtocolVersion is a NetworkError
+  /// naming both versions; the rest of its layout is not read.
   static Result<HelloRecord> Decode(ByteReader* in);
 };
 
 struct HelloAckRecord {
   SiteId site = kNullSite;
 
-  /// v5+: the server's protocol version and the codec subset it accepted.
-  /// Pre-v5 servers sent only `site`; Decode tolerates the short form and
-  /// reports version 4 / no codecs, which is exactly the fallback state.
-  uint32_t version = 4;
+  /// The server's protocol version and the codec subset it accepted.
+  uint32_t version = kWireProtocolVersion;
   uint8_t codecs = 0;
 
   void Encode(ByteWriter* out) const;
+  /// Likewise rejects an ack of any other version with a NetworkError.
   static Result<HelloAckRecord> Decode(ByteReader* in);
 };
 
@@ -216,10 +207,8 @@ struct RoundDoneRecord {
   uint64_t memo_saved_bytes = 0;
   double memo_saved_seconds = 0;
 
-  /// v6+: the peer's pool saturation for this round (zero without fan-out),
-  /// merged into the run's RunStats pool_* fields. Trailing on the wire:
-  /// Encode always emits them, Decode tolerates their absence (a pre-v6
-  /// peer), so mixed versions interoperate.
+  /// The peer's pool saturation for this round (zero without fan-out),
+  /// merged into the run's RunStats pool_* fields.
   uint64_t pool_tasks = 0;
   uint64_t pool_busy_peak = 0;
   uint64_t pool_queue_peak = 0;

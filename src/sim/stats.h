@@ -86,12 +86,12 @@ struct NetworkCostModel {
 /// Site-pool saturation observed while a run's deliveries fanned out
 /// (runtime/site_driver.h, DESIGN.md §14). Like MemoSavings these are
 /// *extra* information, excluded from the bit-identity contract: `tasks`
-/// counts the lane and split-item tasks this run's deliveries submitted
+/// counts the lane tasks this run's deliveries submitted
 /// (exact, per run), while the peaks are gauges of the pool the run
 /// shared — under concurrent runs they show combined pressure, which is
 /// precisely the saturation signal the bench tables report.
 struct PoolStats {
-  uint64_t tasks = 0;       ///< pool tasks submitted (lanes + split chunks)
+  uint64_t tasks = 0;       ///< pool tasks submitted (one per lane task)
   uint64_t busy_peak = 0;   ///< max simultaneously busy workers observed
   uint64_t queue_peak = 0;  ///< max queued-task depth observed
 

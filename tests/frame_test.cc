@@ -534,7 +534,7 @@ TEST(FrameWireTest, CompressedRecordCorruptionIsClean) {
 // full set — answer_chunk_ids AND data_chunk_bytes included — so a new
 // knob that skips the Hello fails here, not as a socket-vs-sync accounting
 // drift in a four-process test.
-TEST(HelloRecordTest, V5RoundTripCarriesEveryPlaneKnob) {
+TEST(HelloRecordTest, RoundTripCarriesEveryPlaneKnob) {
   HelloRecord hello;
   hello.site = 3;
   hello.answer_chunk_ids = 17;
@@ -543,6 +543,7 @@ TEST(HelloRecordTest, V5RoundTripCarriesEveryPlaneKnob) {
   hello.site_threads = 5;
   hello.codecs = kCodecLz4;
   hello.compress_min_bytes = 512;
+  hello.peer_concurrent_rounds = 3;
 
   ByteWriter w;
   hello.Encode(&w);
@@ -558,53 +559,22 @@ TEST(HelloRecordTest, V5RoundTripCarriesEveryPlaneKnob) {
   EXPECT_EQ(decoded->site_threads, 5u);
   EXPECT_EQ(decoded->codecs, kCodecLz4);
   EXPECT_EQ(decoded->compress_min_bytes, 512u);
+  EXPECT_EQ(decoded->peer_concurrent_rounds, 3u);
 }
 
-TEST(HelloRecordTest, V4HelloDecodesWithoutCodecFields) {
-  HelloRecord hello;
-  hello.version = 4;  // a true pre-compression client
-  hello.site = 1;
-  hello.codecs = kCodecLz4;        // must NOT be emitted at v4
-  hello.compress_min_bytes = 512;  // likewise
-
+TEST(HelloAckRecordTest, RoundTripCarriesVersionAndCodecs) {
+  HelloAckRecord ack;
+  ack.site = 2;
+  ack.codecs = kCodecLz4;
   ByteWriter w;
-  hello.Encode(&w);
-  ByteReader r(w.bytes());
-  auto decoded = HelloRecord::Decode(&r);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(decoded->version, 4u);
-  EXPECT_EQ(decoded->codecs, 0);
-  EXPECT_EQ(decoded->compress_min_bytes, 0u);
-}
-
-TEST(HelloAckRecordTest, ShortFormDecodesAsPreV5) {
-  // A pre-v5 server's ack carried only the site; Decode reports version 4
-  // and no codecs — exactly the client's fallback state.
-  HelloAckRecord legacy;
-  legacy.site = 2;  // version stays at its default (4): short form
-  ByteWriter w;
-  legacy.Encode(&w);
+  ack.Encode(&w);
   ByteReader r(w.bytes());
   auto decoded = HelloAckRecord::Decode(&r);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(decoded->site, 2);
-  EXPECT_EQ(decoded->version, 4u);
-  EXPECT_EQ(decoded->codecs, 0);
-
-  HelloAckRecord modern;
-  modern.site = 2;
-  modern.version = kWireProtocolVersion;
-  modern.codecs = kCodecLz4;
-  ByteWriter w2;
-  modern.Encode(&w2);
-  ByteReader r2(w2.bytes());
-  auto decoded2 = HelloAckRecord::Decode(&r2);
-  ASSERT_TRUE(decoded2.ok()) << decoded2.status();
-  EXPECT_TRUE(r2.AtEnd());
-  EXPECT_EQ(decoded2->version, kWireProtocolVersion);
-  EXPECT_EQ(decoded2->codecs, kCodecLz4);
+  EXPECT_EQ(decoded->version, kWireProtocolVersion);
+  EXPECT_EQ(decoded->codecs, kCodecLz4);
 }
 
 // ---- Frame batching at the transport level ----------------------------------
@@ -1176,16 +1146,33 @@ TEST(ControlRecordTest, RoundTrip) {
     r.site = 2;
     r.seconds = 0.125;
     r.status = Status::Internal("handler failed");
+    r.memo_fragment_hits = 3;
+    r.memo_saved_bytes = 777;
+    r.memo_saved_seconds = 0.5;
+    r.pool_tasks = 6;
+    r.pool_busy_peak = 4;
+    r.pool_queue_peak = 2;
     ByteWriter w;
     r.Encode(&w);
     ByteReader reader(w.bytes());
     auto d = RoundDoneRecord::Decode(&reader);
     ASSERT_TRUE(d.ok());
+    EXPECT_TRUE(reader.AtEnd());
     EXPECT_EQ(d->run, r.run);
     EXPECT_EQ(d->site, r.site);
     EXPECT_EQ(d->seconds, r.seconds);
     EXPECT_EQ(d->status.code(), StatusCode::kInternal);
     EXPECT_EQ(d->status.message(), "handler failed");
+    EXPECT_EQ(d->memo_fragment_hits, 3u);
+    EXPECT_EQ(d->memo_saved_bytes, 777u);
+    EXPECT_EQ(d->memo_saved_seconds, 0.5);
+    EXPECT_EQ(d->pool_tasks, 6u);
+    EXPECT_EQ(d->pool_busy_peak, 4u);
+    EXPECT_EQ(d->pool_queue_peak, 2u);
+    // Every field is required: a record missing its last one is an error.
+    const std::string truncated = w.bytes().substr(0, w.bytes().size() - 1);
+    ByteReader short_reader(truncated);
+    EXPECT_FALSE(RoundDoneRecord::Decode(&short_reader).ok());
   }
 }
 

@@ -277,7 +277,6 @@ TEST(ReachCorrectnessTest, QueryTextRoundTrips) {
 TEST(ReachDeterminismTest, SyncPooledAndThreadedAreBitIdentical) {
   GraphWorld w = MakeWorld(90, 1.8, 7, 4, 3);
   Rng rng(77);
-  uint64_t split_pool_tasks = 0;
   for (int i = 0; i < 10; ++i) {
     ReachQuery q;
     q.source = static_cast<NodeId>(rng.NextBounded(90));
@@ -295,30 +294,14 @@ TEST(ReachDeterminismTest, SyncPooledAndThreadedAreBitIdentical) {
     SyncTransport threaded(threaded_opts);
     auto t = EvaluateReachability(*w.cluster, q, &threaded);
 
-    // Intra-fragment splitting forced on (threshold 1%): per-entry BFS
-    // sub-items fan out, yet the dep/answer streams must re-encode
-    // byte-identically (DESIGN.md §14).
-    TransportOptions split_opts;
-    split_opts.site_threads = 4;
-    split_opts.split_threshold_pct = 1;
-    SyncTransport split(split_opts);
-    auto sp = EvaluateReachability(*w.cluster, q, &split);
-
     ASSERT_TRUE(s.ok()) << label << ": " << s.status();
     ASSERT_TRUE(p.ok()) << label << ": " << p.status();
     ASSERT_TRUE(t.ok()) << label << ": " << t.status();
-    ASSERT_TRUE(sp.ok()) << label << ": " << sp.status();
     EXPECT_EQ(p->answers, s->answers) << label;
     EXPECT_EQ(t->answers, s->answers) << label;
-    EXPECT_EQ(sp->answers, s->answers) << label;
     ExpectStatsEqual(p->stats, s->stats, "pooled|" + label);
     ExpectStatsEqual(t->stats, s->stats, "threads=4|" + label);
-    ExpectStatsEqual(sp->stats, s->stats, "split|" + label);
-    split_pool_tasks += sp->stats.pool_tasks;
   }
-  // The split runs actually fanned out (multi-entry fragments exist in
-  // this world), so the equality above is not vacuous.
-  EXPECT_GT(split_pool_tasks, 0u);
 }
 
 // ---- The acceptance bar: four processes over sockets ------------------------
@@ -343,19 +326,14 @@ TEST(ReachSocketTest, FourProcessDeploymentReproducesSyncExactly) {
     ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
     EXPECT_EQ(sync->answers, ExpectedAnswer(w, q)) << label;
 
-    // (threads, split threshold %): serial, lane-parallel, and lane-
-    // parallel with intra-fragment splitting forced on at the peers.
-    for (auto [threads, split_pct] :
-         {std::pair<size_t, uint64_t>{1, 0}, {4, 0}, {4, 1}}) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
       TransportOptions sopts;
       sopts.remote_endpoints = deployment.endpoints();
       sopts.site_threads = threads;
-      sopts.split_threshold_pct = split_pct;
       SocketTransport socket(sopts);
       auto remote = EvaluateReachability(*w.cluster, q, &socket);
-      const std::string tlabel = label + "|threads=" +
-                                 std::to_string(threads) + "|split=" +
-                                 std::to_string(split_pct);
+      const std::string tlabel =
+          label + "|threads=" + std::to_string(threads);
       ASSERT_TRUE(remote.ok()) << tlabel << ": " << remote.status();
       EXPECT_EQ(remote->answers, sync->answers) << tlabel;
       ExpectStatsEqual(remote->stats, sync->stats, tlabel);

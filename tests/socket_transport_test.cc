@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -27,6 +29,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -237,18 +240,6 @@ size_t EnvSiteThreads() {
   return 1;
 }
 
-/// CI smoke hook: PAXML_SPLIT_PCT=N re-runs every socket test with
-/// intra-fragment splitting offered at that threshold (DESIGN.md §14) —
-/// combined with PAXML_SITE_THREADS the whole file pins split determinism
-/// over real processes.
-uint64_t EnvSplitPct() {
-  if (const char* env = std::getenv("PAXML_SPLIT_PCT")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<uint64_t>(v);
-  }
-  return 0;
-}
-
 EngineOptions SyncOptions(DistributedAlgorithm algo, bool annotations) {
   EngineOptions options;
   options.algorithm = algo;
@@ -264,7 +255,6 @@ EngineOptions SocketOptions(DistributedAlgorithm algo, bool annotations,
   options.pax.use_annotations = annotations;
   options.transport_options.remote_endpoints = endpoints;
   options.transport_options.site_threads = EnvSiteThreads();
-  options.transport_options.split_threshold_pct = EnvSplitPct();
   return options;
 }
 
@@ -398,38 +388,6 @@ TEST(SocketTransportTest, FT2ParallelSitesReproduceSyncExactly) {
   }
 }
 
-// ---- Intra-fragment splitting over real processes (DESIGN.md §14) -----------
-
-// The split threshold forced to 1% travels in the Hello, the peers fan
-// splittable requests out below the fragment grain, and the RunStats still
-// reproduce the serial SyncTransport's exactly. PaX2 with annotations on
-// qualifier-free selections is the splittable shape; the RoundDone records
-// carry the peers' pool counters back, proving the path fired.
-TEST(SocketTransportTest, ForcedSplitReproducesSyncExactly) {
-  ClienteleWorld w = MakeClienteleWorld();
-  Deployment deployment(w.doc, *w.cluster);
-
-  uint64_t split_pool_tasks = 0;
-  for (const std::string& query :
-       {std::string("//stock/code"), std::string("clientele/client/broker"),
-        std::string("//market//buy")}) {
-    auto sync = EvaluateDistributed(
-        *w.cluster, query, SyncOptions(DistributedAlgorithm::kPaX2, true));
-    EngineOptions split = SocketOptions(DistributedAlgorithm::kPaX2, true,
-                                        deployment.endpoints());
-    split.transport_options.site_threads = 4;
-    split.transport_options.split_threshold_pct = 1;
-    auto socket = EvaluateDistributed(*w.cluster, query, split);
-    ASSERT_TRUE(sync.ok()) << query << ": " << sync.status();
-    ASSERT_TRUE(socket.ok()) << query << ": " << socket.status();
-    EXPECT_EQ(socket->answers, sync->answers) << query;
-    ExpectStatsEqual(socket->stats, sync->stats, query);
-    EXPECT_EQ(sync->stats.pool_tasks, 0u) << query;
-    split_pool_tasks += socket->stats.pool_tasks;
-  }
-  EXPECT_GT(split_pool_tasks, 0u);
-}
-
 // ---- Cross-run fan-out on one peer (DESIGN.md §14) --------------------------
 
 // Two independent runs over ONE SocketTransport — one connection per peer —
@@ -459,7 +417,6 @@ TEST(SocketTransportTest, ConcurrentRunsOnOnePeerReproduceSoloStats) {
   TransportOptions topts;
   topts.remote_endpoints = deployment.endpoints();
   topts.site_threads = EnvSiteThreads();
-  topts.split_threshold_pct = EnvSplitPct();
   topts.peer_concurrent_rounds = 2;
   SocketTransport socket(topts);
 
@@ -599,7 +556,7 @@ TEST(SocketTransportTest, CompressedFT2ReproducesSyncModelExactly) {
   EXPECT_LT(wire_bytes, raw_bytes);
 }
 
-// A v5 client offering compression to v5 servers run *without* --compress:
+// A client offering compression to servers run *without* --compress:
 // the offer is declined in the HelloAck and every remote frame travels
 // raw. Answers and the logical ledger still match the plain sync run (wire
 // accounting is not compared — the client still models its threshold on
@@ -622,53 +579,6 @@ TEST(SocketTransportTest, DeclinedCompressionOfferRunsRawAndCorrect) {
     EXPECT_EQ(socket->answers, sync->answers) << query;
     ExpectLogicalStatsEqual(socket->stats, sync->stats, query);
   }
-}
-
-// Mixed-version interop: a v5 client offering compression against peers
-// that answer the pre-v5 short HelloAck (SiteServer::set_legacy_hello,
-// impersonating an older server in-process). The client must detect the
-// old ack, fall back to raw frames, and produce correct answers with the
-// exact logical ledger — no silent corruption, no hang.
-TEST(SocketTransportTest, LegacyHelloPeerRunsRawAndCorrect) {
-  ClienteleWorld w = MakeClienteleWorld();
-
-  std::vector<std::unique_ptr<SiteServer>> servers;
-  std::vector<std::thread> threads;
-  std::map<SiteId, std::string> endpoints;
-  for (size_t s = 0; s < w.cluster->site_count(); ++s) {
-    const SiteId site = static_cast<SiteId>(s);
-    if (site == w.cluster->query_site()) continue;
-    auto server = std::make_unique<SiteServer>(
-        w.cluster.get(), site, MakeSiteProgramFactory(w.cluster.get()),
-        /*max_site_threads=*/0, /*memo=*/nullptr, /*allow_compress=*/true);
-    server->set_legacy_hello(true);
-    auto port = server->Listen("127.0.0.1", 0);
-    ASSERT_TRUE(port.ok()) << port.status();
-    endpoints[site] = "127.0.0.1:" + std::to_string(*port);
-    threads.emplace_back([srv = server.get()] {
-      const Status st = srv->Serve();
-      (void)st;  // shutdown races surface as benign accept errors
-    });
-    servers.push_back(std::move(server));
-  }
-
-  for (const std::string& query :
-       {std::string("//stock/code"),
-        std::string("clientele/client/broker/name")}) {
-    auto sync = EvaluateDistributed(
-        *w.cluster, query, SyncOptions(DistributedAlgorithm::kPaX2, false));
-    EngineOptions options =
-        SocketOptions(DistributedAlgorithm::kPaX2, false, endpoints);
-    options.transport_options.compress_min_bytes = 64;
-    auto socket = EvaluateDistributed(*w.cluster, query, options);
-    ASSERT_TRUE(sync.ok()) << query << ": " << sync.status();
-    ASSERT_TRUE(socket.ok()) << query << ": " << socket.status();
-    EXPECT_EQ(socket->answers, sync->answers) << query;
-    ExpectLogicalStatsEqual(socket->stats, sync->stats, query);
-  }
-
-  for (auto& server : servers) server->Shutdown();
-  for (auto& t : threads) t.join();
 }
 
 // ---- Non-default message-plane knobs ----------------------------------------
@@ -764,6 +674,115 @@ TEST(SocketTransportTest, QuerySiteMustBeLocal) {
       SocketOptions(DistributedAlgorithm::kPaX2, false, endpoints));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---- One wire version -------------------------------------------------------
+
+/// Reads the next whole record off a raw connection, with a receive
+/// timeout so a peer that never answers fails the test instead of hanging
+/// it.
+Result<WireRecord> ReadOneRecord(int fd) {
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  RecordBuffer buf;
+  char chunk[4096];
+  while (true) {
+    PAXML_ASSIGN_OR_RETURN(std::optional<WireRecord> record, buf.Next());
+    if (record.has_value()) return std::move(*record);
+    PAXML_ASSIGN_OR_RETURN(size_t n, ReadSome(fd, chunk, sizeof(chunk)));
+    if (n == 0) return Status::NetworkError("peer closed the connection");
+    buf.Append({chunk, n});
+  }
+}
+
+// paxml_site is the protocol's only implementation, so there is one
+// version: a server handed a Hello of any other version answers with a
+// kError naming the mismatch and ends the connection with a NetworkError.
+TEST(SocketTransportTest, ServerRejectsHelloOfAnotherVersion) {
+  ClienteleWorld w = MakeClienteleWorld();
+  const SiteId site = 1;
+  SiteServer server(w.cluster.get(), site,
+                    MakeSiteProgramFactory(w.cluster.get()));
+  auto port = server.Listen("127.0.0.1", 0);
+  ASSERT_TRUE(port.ok()) << port.status();
+  Status served = Status::Internal("unset");
+  std::thread serving([&] { served = server.ServeOne(); });
+
+  Result<int> fd = DialEndpoint("127.0.0.1:" + std::to_string(*port));
+  Result<WireRecord> reply = Status::Internal("not dialed");
+  if (fd.ok()) {
+    HelloRecord hello;
+    hello.version = kWireProtocolVersion - 1;
+    hello.site = site;
+    std::string bytes;
+    AppendControlRecord(RecordType::kHello, hello, &bytes);
+    EXPECT_TRUE(WriteAll(*fd, bytes).ok());
+    reply = ReadOneRecord(*fd);
+    CloseFd(*fd);
+  } else {
+    server.Shutdown();  // unblocks the accept
+  }
+  serving.join();
+
+  ASSERT_TRUE(fd.ok()) << fd.status();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(reply->type, RecordType::kError) << RecordTypeName(reply->type);
+  ByteReader reader(reply->payload);
+  auto error = ErrorRecord::Decode(&reader);
+  ASSERT_TRUE(error.ok()) << error.status();
+  EXPECT_EQ(error->run, kNullRun);
+  EXPECT_NE(error->message.find("version mismatch"), std::string::npos)
+      << error->message;
+  EXPECT_NE(error->message.find(
+                "v" + std::to_string(kWireProtocolVersion - 1)),
+            std::string::npos)
+      << error->message;
+  EXPECT_EQ(served.code(), StatusCode::kNetworkError) << served;
+}
+
+// The client half: a peer whose HelloAck carries another version fails
+// the handshake with a NetworkError — no hang, no abort, and the
+// transport still tears down cleanly.
+TEST(SocketTransportTest, ClientRejectsAckOfAnotherVersion) {
+  Result<int> listen_fd = ListenOn("127.0.0.1", 0);
+  ASSERT_TRUE(listen_fd.ok()) << listen_fd.status();
+  Result<int> port = BoundPort(*listen_fd);
+  ASSERT_TRUE(port.ok()) << port.status();
+  const SiteId site = 1;
+
+  // A hand-rolled peer: reads the Hello, acks it at the wrong version,
+  // then waits for the client to hang up.
+  std::thread peer([fd = *listen_fd, site] {
+    Result<int> conn = AcceptOn(fd);
+    if (!conn.ok()) return;
+    if (ReadOneRecord(*conn).ok()) {
+      HelloAckRecord ack;
+      ack.site = site;
+      ack.version = kWireProtocolVersion - 1;
+      std::string bytes;
+      AppendControlRecord(RecordType::kHelloAck, ack, &bytes);
+      (void)WriteAll(*conn, bytes);
+      char byte;
+      while (true) {
+        Result<size_t> n = ReadSome(*conn, &byte, 1);
+        if (!n.ok() || *n == 0) break;
+      }
+    }
+    CloseFd(*conn);
+  });
+
+  TransportOptions topts;
+  topts.remote_endpoints = {{site, "127.0.0.1:" + std::to_string(*port)}};
+  {
+    SocketTransport socket(topts);
+    const Status status = socket.EnsureConnected();
+    EXPECT_EQ(status.code(), StatusCode::kNetworkError) << status;
+    EXPECT_NE(status.message().find("version mismatch"), std::string::npos)
+        << status;
+  }
+  peer.join();
+  CloseFd(*listen_fd);
 }
 
 // Killing a site process fails runs that touch it — promptly and cleanly —

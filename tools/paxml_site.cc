@@ -42,13 +42,13 @@
 // above the client's threshold travel as lz4-compressed kFrameZ records in
 // both directions. Logical accounting is unchanged — only wire bytes
 // shrink. Without the flag every offer is declined and connections run raw
-// frames (the pre-v5 behavior).
+// frames.
 //
 // --rounds R caps how many independent runs' rounds one connection may
 // deliver concurrently when a client's Hello asks for cross-run fan-out
-// (the peer_concurrent_rounds transport knob, wire protocol v6; default:
-// honor the client, bounded at 16). Each run's RunStats stay exactly its
-// solo RunStats — only independent runs overlap.
+// (the peer_concurrent_rounds transport knob; default: honor the client,
+// bounded at 16). Each run's RunStats stay exactly its solo RunStats —
+// only independent runs overlap.
 
 #include <cstdio>
 #include <cstdlib>
