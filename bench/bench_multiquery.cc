@@ -37,13 +37,13 @@
 // single per-fragment lane and stays serial; the crammed site's rounds fan
 // out across its lanes. Cells are site_threads 1 / 2 / 4 at stream depth
 // 1, each reporting measured wall speedup beside the modeled
-// max-over-lanes speedup and the advisory pool_tasks counter; RunStats are
-// asserted bit-identical in every cell.
+// max-over-lanes speedup and the advisory pool_tasks counter; the RunStats
+// ledger is asserted bit-identical in every cell.
 //
 // A sixth table measures cross-run fan-out on the peer plane: two
 // independent runs over one socket connection per peer, back-to-back vs
 // concurrent with peer_concurrent_rounds = 2. Each concurrent run must
-// reproduce its solo sync RunStats; on a multi-core host the pair must
+// reproduce its solo sync ledger; on a multi-core host the pair must
 // finish faster than the serial schedule.
 //
 // Correctness is asserted, not assumed: every depth must produce answer
@@ -179,25 +179,6 @@ struct ThreadsMeasurement {
   uint64_t pool_tasks = 0;       ///< advisory saturation counter
 };
 
-/// Every count DESIGN.md §10 promises is thread-count-invariant.
-void CheckSameStats(const RunStats& got, const RunStats& want) {
-  PAXML_CHECK_EQ(got.rounds, want.rounds);
-  PAXML_CHECK_EQ(got.total_messages, want.total_messages);
-  PAXML_CHECK_EQ(got.total_envelopes, want.total_envelopes);
-  PAXML_CHECK_EQ(got.total_bytes, want.total_bytes);
-  PAXML_CHECK_EQ(got.answer_bytes, want.answer_bytes);
-  PAXML_CHECK_EQ(got.data_bytes_shipped, want.data_bytes_shipped);
-  PAXML_CHECK_EQ(got.wire_bytes, want.wire_bytes);
-  PAXML_CHECK(got.edges == want.edges);
-  PAXML_CHECK_EQ(got.per_site.size(), want.per_site.size());
-  for (size_t s = 0; s < want.per_site.size(); ++s) {
-    PAXML_CHECK_EQ(got.per_site[s].visits, want.per_site[s].visits);
-    PAXML_CHECK_EQ(got.per_site[s].bytes_sent, want.per_site[s].bytes_sent);
-    PAXML_CHECK_EQ(got.per_site[s].messages_sent,
-                   want.per_site[s].messages_sent);
-  }
-}
-
 /// The one-hot workload: FT2's largest fragment (F4, site C's namerica
 /// subtree — 28 of 104 units) alone on one site, everything else crammed
 /// on another. A round at the hot site is a single lane, so per-fragment
@@ -264,7 +245,7 @@ std::vector<ThreadsMeasurement> RunSiteThreadsTable(const OneHotWorkload& sw) {
 
   std::vector<ThreadsMeasurement> out;
   std::vector<std::vector<GlobalNodeId>> baseline_answers;
-  std::vector<RunStats> baseline_stats;
+  std::vector<RunLedger> baseline_ledgers;
   double baseline_qps = 0;
   double baseline_modeled = 0;
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
@@ -295,11 +276,12 @@ std::vector<ThreadsMeasurement> RunSiteThreadsTable(const OneHotWorkload& sw) {
         if (threads == 1) {
           if (r == 0) {
             baseline_answers.push_back(result->answers);
-            baseline_stats.push_back(result->stats);
+            baseline_ledgers.push_back(result->stats.ledger());
           }
         } else if (r == 0) {
+          // Every ledger count is thread-count-invariant (DESIGN.md §10).
           PAXML_CHECK(result->answers == baseline_answers[qi]);
-          CheckSameStats(result->stats, baseline_stats[qi]);
+          PAXML_CHECK(result->stats.ledger() == baseline_ledgers[qi]);
         }
       }
     }
@@ -432,8 +414,8 @@ ConcurrentRunsMeasurement RunConcurrentRunsTable(const OneHotWorkload& sw) {
       // its solo ledger.
       PAXML_CHECK(got_a->answers == solo_a->answers);
       PAXML_CHECK(got_b->answers == solo_b->answers);
-      CheckSameStats(got_a->stats, solo_a->stats);
-      CheckSameStats(got_b->stats, solo_b->stats);
+      PAXML_CHECK(got_a->stats.ledger() == solo_a->stats.ledger());
+      PAXML_CHECK(got_b->stats.ledger() == solo_b->stats.ledger());
     }
     m.concurrent_seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - conc_start)

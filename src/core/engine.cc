@@ -159,6 +159,7 @@ std::shared_ptr<AnswerCache> MakeAnswerCache(const ServingOptions& serving) {
 RunStats CacheHitStats(size_t site_count) {
   RunStats stats;
   stats.per_site.resize(site_count);
+  stats.site_compute_seconds.resize(site_count);
   return stats;
 }
 

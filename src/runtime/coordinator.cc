@@ -17,6 +17,7 @@ Coordinator::Coordinator(const Cluster* cluster, Transport* transport,
                          const RunSpec* spec)
     : cluster_(cluster), transport_(transport), control_(control) {
   stats_.per_site.resize(cluster->site_count());
+  stats_.site_compute_seconds.resize(cluster->site_count());
   run_ = transport_->OpenRun(cluster, &stats_, spec);
   // site_threads > 1 turns on intra-site parallel delivery, on the
   // cluster's *site* pool — distinct from worker_pool(), which executes the
@@ -97,29 +98,19 @@ Status Coordinator::RunRound(const std::string& label,
 
   double round_max = 0;
   for (size_t i = 0; i < sites.size(); ++i) {
-    SiteStats& s = stats_.per_site[static_cast<size_t>(sites[i])];
-    ++s.visits;
+    const size_t site = static_cast<size_t>(sites[i]);
+    ++stats_.per_site[site].visits;
     const double seconds = modeled[i] >= 0 ? modeled[i] : durations[i];
-    s.compute_seconds += seconds;
+    stats_.site_compute_seconds[site] += seconds;
     stats_.total_compute_seconds += seconds;
     round_max = std::max(round_max, seconds);
   }
   stats_.parallel_seconds += round_max;
 
-  // Savings the local memoized deliveries accumulated this round; a remote
-  // peer's savings arrive through its RoundDone record instead (merged by
-  // SocketTransport::AccountMemoSavings).
-  const MemoSavings saved = driver_->TakeMemoSavings();
-  stats_.memo_fragment_hits += saved.fragment_hits;
-  stats_.memo_saved_bytes += saved.saved_bytes;
-  stats_.memo_saved_seconds += saved.saved_seconds;
-
-  // Likewise pool saturation: local fan-out drains here, a remote peer's
-  // arrives through its RoundDone record.
-  const PoolStats pool = driver_->TakePoolStats();
-  stats_.pool_tasks += pool.tasks;
-  stats_.pool_busy_peak = std::max(stats_.pool_busy_peak, pool.busy_peak);
-  stats_.pool_queue_peak = std::max(stats_.pool_queue_peak, pool.queue_peak);
+  // Memo savings and pool saturation of the local deliveries this round; a
+  // remote peer's arrive in its RoundDone record instead (merged by
+  // Transport::AccountTelemetry).
+  stats_ += driver_->TakeTelemetry();
 
   PAXML_RETURN_NOT_OK(round_status);
   PAXML_RETURN_NOT_OK(transport_status);

@@ -263,18 +263,20 @@ void SiteDriver::AccountBatch(size_t tasks_submitted) {
   // The peaks are pool-global gauges (the pool may be shared with other
   // runs); tasks are exact for this driver. Sampling after each batch
   // keeps the gauges current without touching the pool's hot path.
-  const uint64_t busy = pool_->busy_peak();
-  const uint64_t queue = pool_->queue_peak();
-  std::lock_guard<std::mutex> lock(pool_stats_mu_);
-  pool_stats_.tasks += tasks_submitted;
-  if (busy > pool_stats_.busy_peak) pool_stats_.busy_peak = busy;
-  if (queue > pool_stats_.queue_peak) pool_stats_.queue_peak = queue;
+  SiteTelemetry batch;
+  batch.pool_tasks = tasks_submitted;
+  batch.pool_busy_peak = pool_->busy_peak();
+  batch.pool_queue_peak = pool_->queue_peak();
+  std::lock_guard<std::mutex> lock(pool_telemetry_mu_);
+  pool_telemetry_ += batch;
 }
 
-PoolStats SiteDriver::TakePoolStats() {
-  std::lock_guard<std::mutex> lock(pool_stats_mu_);
-  PoolStats out = pool_stats_;
-  pool_stats_ = PoolStats{};
+SiteTelemetry SiteDriver::TakeTelemetry() {
+  SiteTelemetry out =
+      memo_ != nullptr ? memo_->TakeSavings() : SiteTelemetry{};
+  std::lock_guard<std::mutex> lock(pool_telemetry_mu_);
+  out += pool_telemetry_;
+  pool_telemetry_ = SiteTelemetry{};
   return out;
 }
 

@@ -104,19 +104,13 @@ class SiteDriver {
     return memo_ == nullptr && pool_ != nullptr && site_threads_ > 1;
   }
 
-  /// Savings the memo path accumulated since the last take (zero without a
-  /// memo session). The round loops drain this into RunStats — locally
-  /// after the round, remotely via the RoundDone record.
-  MemoSavings TakeMemoSavings() {
-    return memo_ != nullptr ? memo_->TakeSavings() : MemoSavings{};
-  }
-
-  /// Pool saturation accumulated since the last take (zero when nothing
-  /// fanned out): exact task submissions by this driver plus the shared
-  /// pool's peak gauges, sampled after each batch. Drained into
-  /// RunStats::pool_* the same way memo savings are — locally after the
-  /// round, remotely via the RoundDone record.
-  PoolStats TakePoolStats();
+  /// Advisory telemetry accumulated since the last take: the memo path's
+  /// savings (zero without a memo session), and pool saturation (zero when
+  /// nothing fanned out) — exact task submissions by this driver plus the
+  /// shared pool's peak gauges, sampled after each batch. The round loops
+  /// drain it into RunTelemetry: locally after the round, remotely via the
+  /// RoundDone record.
+  SiteTelemetry TakeTelemetry();
 
  private:
   Status DeliverParallelImpl(SiteId site, std::vector<Envelope> mail,
@@ -135,10 +129,10 @@ class SiteDriver {
   std::shared_ptr<WorkerPool> pool_;
   size_t site_threads_ = 1;
   std::shared_ptr<MemoSession> memo_;
-  /// Pool accounting (under mu_: site deliveries run concurrently on the
-  /// pooled transport's workers).
-  std::mutex pool_stats_mu_;
-  PoolStats pool_stats_;
+  /// Pool accounting, the pool_* fields only (under pool_telemetry_mu_:
+  /// site deliveries run concurrently on the pooled transport's workers).
+  std::mutex pool_telemetry_mu_;
+  SiteTelemetry pool_telemetry_;
 };
 
 }  // namespace paxml

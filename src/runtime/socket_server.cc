@@ -215,14 +215,7 @@ Status SiteServer::ServeConnection(int fd) {
     std::vector<Envelope> mail = plane->Drain(state->local_run, site_);
     done.status =
         state->driver->DeliverTimed(site_, std::move(mail), &done.seconds);
-    const MemoSavings saved = state->driver->TakeMemoSavings();
-    done.memo_fragment_hits = saved.fragment_hits;
-    done.memo_saved_bytes = saved.saved_bytes;
-    done.memo_saved_seconds = saved.saved_seconds;
-    const PoolStats pool = state->driver->TakePoolStats();
-    done.pool_tasks = pool.tasks;
-    done.pool_busy_peak = pool.busy_peak;
-    done.pool_queue_peak = pool.queue_peak;
+    done.telemetry = state->driver->TakeTelemetry();
     // The peer's round boundary: stage -> frames, captured for the wire in
     // seal order.
     plane->FlushRun(state->local_run);
@@ -241,7 +234,6 @@ Status SiteServer::ServeConnection(int fd) {
   };
 
   auto handle = [&](WireRecord record) -> Status {
-    ByteReader reader(record.payload);
     if (!hello_done) {
       if (record.type != RecordType::kHello) {
         return Status::NetworkError("expected hello");
@@ -249,7 +241,7 @@ Status SiteServer::ServeConnection(int fd) {
       // A Hello of another version (or a garbled one) is answered with
       // the reason before the connection drops, so the client fails at
       // its handshake instead of on a closed socket.
-      Result<HelloRecord> decoded = HelloRecord::Decode(&reader);
+      Result<HelloRecord> decoded = DecodeControlRecord<HelloRecord>(record);
       if (!decoded.ok()) {
         (void)send_error(kNullRun, decoded.status().message());
         return decoded.status();
@@ -308,7 +300,7 @@ Status SiteServer::ServeConnection(int fd) {
     switch (record.type) {
       case RecordType::kOpenRun: {
         PAXML_ASSIGN_OR_RETURN(OpenRunRecord open,
-                               OpenRunRecord::Decode(&reader));
+                               DecodeControlRecord<OpenRunRecord>(record));
         if (runs.count(open.run) != 0) {
           return Status::NetworkError("open-run for an already open run");
         }
@@ -376,7 +368,7 @@ Status SiteServer::ServeConnection(int fd) {
       }
       case RecordType::kCloseRun: {
         PAXML_ASSIGN_OR_RETURN(CloseRunRecord close,
-                               CloseRunRecord::Decode(&reader));
+                               DecodeControlRecord<CloseRunRecord>(record));
         auto it = runs.find(close.run);
         if (it == runs.end()) return Status::OK();  // already gone
         if (it->second->round_inflight.load()) {
@@ -405,7 +397,7 @@ Status SiteServer::ServeConnection(int fd) {
       }
       case RecordType::kRoundStart: {
         PAXML_ASSIGN_OR_RETURN(RoundStartRecord start,
-                               RoundStartRecord::Decode(&reader));
+                               DecodeControlRecord<RoundStartRecord>(record));
         auto it = runs.find(start.run);
         Status refused;
         if (start.site != site_) {

@@ -29,8 +29,8 @@ Result<WireRecord> ReadRecordOfType(int fd, RecordBuffer* buf,
     PAXML_ASSIGN_OR_RETURN(auto maybe, buf->Next());
     if (maybe.has_value()) {
       if (maybe->type == RecordType::kError) {
-        ByteReader reader(maybe->payload);
-        PAXML_ASSIGN_OR_RETURN(ErrorRecord err, ErrorRecord::Decode(&reader));
+        PAXML_ASSIGN_OR_RETURN(ErrorRecord err,
+                               DecodeControlRecord<ErrorRecord>(*maybe));
         return Status::NetworkError("peer rejected handshake: " + err.message);
       }
       if (maybe->type != type) {
@@ -85,8 +85,8 @@ SocketTransport::SocketTransport(TransportOptions options)
         Result<WireRecord> ack =
             ReadRecordOfType(conn->fd, &buf, RecordType::kHelloAck);
         if (ack.ok()) {
-          ByteReader reader(ack->payload);
-          Result<HelloAckRecord> decoded = HelloAckRecord::Decode(&reader);
+          Result<HelloAckRecord> decoded =
+              DecodeControlRecord<HelloAckRecord>(*ack);
           if (!decoded.ok()) {
             status = decoded.status();
           } else if (decoded->site != site) {
@@ -378,7 +378,6 @@ void SocketTransport::ReceiverLoop(Connection* conn) {
 }
 
 Status SocketTransport::HandleRecord(Connection& conn, WireRecord record) {
-  ByteReader reader(record.payload);
   switch (record.type) {
     case RecordType::kFrame:
     case RecordType::kFrameZ: {
@@ -399,22 +398,11 @@ Status SocketTransport::HandleRecord(Connection& conn, WireRecord record) {
     }
     case RecordType::kRoundDone: {
       PAXML_ASSIGN_OR_RETURN(RoundDoneRecord done,
-                             RoundDoneRecord::Decode(&reader));
-      // Merge the peer's memo savings before taking net_mu_ (the base
-      // class's lock never nests inside it), and before the barrier
-      // releases — the accounting happens-before the round's completion.
-      if (done.memo_fragment_hits > 0) {
-        AccountMemoSavings(done.run,
-                           MemoSavings{done.memo_fragment_hits,
-                                       done.memo_saved_bytes,
-                                       done.memo_saved_seconds});
-      }
-      // Likewise the peer's pool saturation (advisory, like memo_*).
-      if (done.pool_tasks > 0) {
-        AccountPoolStats(done.run, PoolStats{done.pool_tasks,
-                                             done.pool_busy_peak,
-                                             done.pool_queue_peak});
-      }
+                             DecodeControlRecord<RoundDoneRecord>(record));
+      // Merge the peer's telemetry before taking net_mu_ (the base class's
+      // lock never nests inside it), and before the barrier releases — the
+      // accounting happens-before the round's completion.
+      AccountTelemetry(done.run, done.telemetry);
       std::lock_guard<std::mutex> lock(net_mu_);
       auto it = waits_.find(done.run);
       if (it == waits_.end()) return Status::OK();  // stale: round already over
@@ -429,7 +417,8 @@ Status SocketTransport::HandleRecord(Connection& conn, WireRecord record) {
       return Status::OK();
     }
     case RecordType::kError: {
-      PAXML_ASSIGN_OR_RETURN(ErrorRecord error, ErrorRecord::Decode(&reader));
+      PAXML_ASSIGN_OR_RETURN(ErrorRecord error,
+                             DecodeControlRecord<ErrorRecord>(record));
       if (error.run == kNullRun) {
         return Status::NetworkError("peer error: " + error.message);
       }

@@ -1,6 +1,5 @@
 #include "runtime/transport.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
@@ -110,24 +109,11 @@ void Transport::RunOpened(RunId run, const Cluster* cluster,
 
 void Transport::RunClosing(RunId run) { (void)run; }
 
-void Transport::AccountMemoSavings(RunId run, const MemoSavings& savings) {
+void Transport::AccountTelemetry(RunId run, const SiteTelemetry& telemetry) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = runs_.find(run);
   if (it == runs_.end()) return;  // races CloseRun like late remote mail
-  RunStats* stats = it->second.stats;
-  stats->memo_fragment_hits += savings.fragment_hits;
-  stats->memo_saved_bytes += savings.saved_bytes;
-  stats->memo_saved_seconds += savings.saved_seconds;
-}
-
-void Transport::AccountPoolStats(RunId run, const PoolStats& pool) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = runs_.find(run);
-  if (it == runs_.end()) return;  // races CloseRun like late remote mail
-  RunStats* stats = it->second.stats;
-  stats->pool_tasks += pool.tasks;
-  stats->pool_busy_peak = std::max(stats->pool_busy_peak, pool.busy_peak);
-  stats->pool_queue_peak = std::max(stats->pool_queue_peak, pool.queue_peak);
+  *it->second.stats += telemetry;
 }
 
 void Transport::Send(Envelope env) {

@@ -420,17 +420,12 @@ class Transport {
                          const RunSpec* spec);
   virtual void RunClosing(RunId run);
 
-  /// Adds fragment-memo savings to the run's RunStats (no-op if the run has
-  /// closed — a remote peer's RoundDone legitimately races CloseRun). The
-  /// merge path for savings a *peer* reported; the local driver's savings
-  /// are merged by the Coordinator's round loop.
-  void AccountMemoSavings(RunId run, const MemoSavings& savings);
-
-  /// Adds pool-saturation counters to the run's RunStats pool_* fields,
-  /// with the same lifetime rules as AccountMemoSavings. The merge path
-  /// for counters a *peer*'s RoundDone reported; the
-  /// local driver's are merged by the Coordinator's round loop.
-  void AccountPoolStats(RunId run, const PoolStats& pool);
+  /// Adds a peer's telemetry block (memo savings, pool saturation) to the
+  /// run's RunTelemetry; a no-op if the run has closed — a remote peer's
+  /// RoundDone legitimately races CloseRun. The merge path for telemetry a
+  /// *peer* reported; the local driver's is merged by the Coordinator's
+  /// round loop. Never touches the ledger.
+  void AccountTelemetry(RunId run, const SiteTelemetry& telemetry);
 
  private:
   using EdgeKey = std::pair<SiteId, SiteId>;

@@ -54,6 +54,28 @@ Status DecodeStatus(ByteReader* in, Status* out) {
   return Status::OK();
 }
 
+/// RoundDone's telemetry block, in SiteTelemetry's field order: memo
+/// savings, then pool saturation.
+void EncodeTelemetry(const SiteTelemetry& t, ByteWriter* out) {
+  out->PutVarint(t.memo_fragment_hits);
+  out->PutVarint(t.memo_saved_bytes);
+  out->PutU64(DoubleBits(t.memo_saved_seconds));
+  out->PutVarint(t.pool_tasks);
+  out->PutVarint(t.pool_busy_peak);
+  out->PutVarint(t.pool_queue_peak);
+}
+
+Status DecodeTelemetry(ByteReader* in, SiteTelemetry* t) {
+  PAXML_ASSIGN_OR_RETURN(t->memo_fragment_hits, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(t->memo_saved_bytes, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(uint64_t saved_bits, in->GetU64());
+  t->memo_saved_seconds = BitsDouble(saved_bits);
+  PAXML_ASSIGN_OR_RETURN(t->pool_tasks, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(t->pool_busy_peak, in->GetVarint());
+  PAXML_ASSIGN_OR_RETURN(t->pool_queue_peak, in->GetVarint());
+  return Status::OK();
+}
+
 Status Errno(const char* what) {
   return Status::NetworkError(std::string(what) + ": " +
                               std::strerror(errno));
@@ -265,12 +287,7 @@ void RoundDoneRecord::Encode(ByteWriter* out) const {
   out->PutVarint(EncodeId(site));
   out->PutU64(DoubleBits(seconds));
   EncodeStatus(status, out);
-  out->PutVarint(memo_fragment_hits);
-  out->PutVarint(memo_saved_bytes);
-  out->PutU64(DoubleBits(memo_saved_seconds));
-  out->PutVarint(pool_tasks);
-  out->PutVarint(pool_busy_peak);
-  out->PutVarint(pool_queue_peak);
+  EncodeTelemetry(telemetry, out);
 }
 
 Result<RoundDoneRecord> RoundDoneRecord::Decode(ByteReader* in) {
@@ -281,13 +298,7 @@ Result<RoundDoneRecord> RoundDoneRecord::Decode(ByteReader* in) {
   PAXML_ASSIGN_OR_RETURN(uint64_t bits, in->GetU64());
   r.seconds = BitsDouble(bits);
   PAXML_RETURN_NOT_OK(DecodeStatus(in, &r.status));
-  PAXML_ASSIGN_OR_RETURN(r.memo_fragment_hits, in->GetVarint());
-  PAXML_ASSIGN_OR_RETURN(r.memo_saved_bytes, in->GetVarint());
-  PAXML_ASSIGN_OR_RETURN(uint64_t saved_bits, in->GetU64());
-  r.memo_saved_seconds = BitsDouble(saved_bits);
-  PAXML_ASSIGN_OR_RETURN(r.pool_tasks, in->GetVarint());
-  PAXML_ASSIGN_OR_RETURN(r.pool_busy_peak, in->GetVarint());
-  PAXML_ASSIGN_OR_RETURN(r.pool_queue_peak, in->GetVarint());
+  PAXML_RETURN_NOT_OK(DecodeTelemetry(in, &r.telemetry));
   return r;
 }
 

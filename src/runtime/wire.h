@@ -45,8 +45,9 @@ namespace paxml {
 /// compress_min_bytes and peer_concurrent_rounds; HelloAck the served site,
 /// the server's version and the accepted codecs; OpenRun the RunSpec
 /// (family included) and a placement fingerprint; RoundDone the round's
-/// duration, status, fragment-memo savings and pool saturation; kFrameZ
-/// an lz4-compressed frame on connections that negotiated the codec.
+/// duration, status and telemetry block (fragment-memo savings, then pool
+/// saturation); kFrameZ an lz4-compressed frame on connections that
+/// negotiated the codec.
 inline constexpr uint32_t kWireProtocolVersion = 7;
 
 /// Codec bitmask for the Hello/HelloAck negotiation. The only codec today
@@ -200,18 +201,11 @@ struct RoundDoneRecord {
   double seconds = 0;  ///< wall time of the site's handler work
   Status status;       ///< the handlers' dispatch status
 
-  /// Fragment-memo savings of this round on the peer (zero unless the peer
-  /// runs with --memo); the client merges them into the run's RunStats
-  /// memo_* fields (sim/stats.h).
-  uint64_t memo_fragment_hits = 0;
-  uint64_t memo_saved_bytes = 0;
-  double memo_saved_seconds = 0;
-
-  /// The peer's pool saturation for this round (zero without fan-out),
-  /// merged into the run's RunStats pool_* fields.
-  uint64_t pool_tasks = 0;
-  uint64_t pool_busy_peak = 0;
-  uint64_t pool_queue_peak = 0;
+  /// The peer's advisory telemetry for this round (memo savings, pool
+  /// saturation), encoded as one block after the status in
+  /// SiteTelemetry's field order; the client merges it into the run's
+  /// RunTelemetry (Transport::AccountTelemetry). Never ledger.
+  SiteTelemetry telemetry;
 
   void Encode(ByteWriter* out) const;
   static Result<RoundDoneRecord> Decode(ByteReader* in);
@@ -231,6 +225,22 @@ void AppendControlRecord(RecordType type, const R& record, std::string* out) {
   ByteWriter w;
   record.Encode(&w);
   AppendRecord(type, w.bytes(), out);
+}
+
+/// Decodes a control record's payload as an `R`. Every field is required
+/// and nothing may follow the last one: trailing bytes are a ParseError,
+/// so a layout change under the same protocol version fails loudly.
+template <typename R>
+Result<R> DecodeControlRecord(const WireRecord& record) {
+  ByteReader reader(record.payload);
+  PAXML_ASSIGN_OR_RETURN(R decoded, R::Decode(&reader));
+  if (!reader.AtEnd()) {
+    return Status::ParseError(std::string(RecordTypeName(record.type)) +
+                              " record has " +
+                              std::to_string(reader.remaining()) +
+                              " trailing bytes");
+  }
+  return decoded;
 }
 
 /// One complete kFrame record (never compressed).

@@ -76,7 +76,7 @@ class WorkerPool {
   /// (unstarted) task depth ever observed. Pool-global — under concurrent
   /// runs they show combined pressure, which is what the bench tables want
   /// next to speedup. Monotone; readers dedupe with max-merging
-  /// (PoolStats::operator+=).
+  /// (SiteTelemetry::operator+=).
   uint64_t busy_peak();
   uint64_t queue_peak();
 

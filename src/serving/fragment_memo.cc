@@ -116,9 +116,9 @@ bool MemoSession::Lookup(FragmentId fragment, const Envelope& request,
   }
   track.retained.push_back(request);
   ++track.next_step;
-  savings_.fragment_hits += 1;
-  savings_.saved_bytes += entry.reply_bytes;
-  savings_.saved_seconds += entry.seconds;
+  savings_.memo_fragment_hits += 1;
+  savings_.memo_saved_bytes += entry.reply_bytes;
+  savings_.memo_saved_seconds += entry.seconds;
   *replies = std::move(entry.replies);
   return true;
 }
@@ -136,10 +136,10 @@ void MemoSession::Record(FragmentId fragment, const Envelope& request,
   ++track.next_step;
 }
 
-MemoSavings MemoSession::TakeSavings() {
+SiteTelemetry MemoSession::TakeSavings() {
   std::lock_guard<std::mutex> lock(mu_);
-  MemoSavings out = savings_;
-  savings_ = MemoSavings{};
+  SiteTelemetry out = savings_;
+  savings_ = SiteTelemetry{};
   return out;
 }
 

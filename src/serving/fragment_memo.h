@@ -117,9 +117,9 @@ class MemoSession {
   void Record(FragmentId fragment, const Envelope& request,
               std::vector<Envelope> replies, double seconds);
 
-  /// Savings accumulated since the last take (drained into RunStats by the
-  /// run's round loop).
-  MemoSavings TakeSavings();
+  /// Savings accumulated since the last take, in the memo_* fields
+  /// (drained into RunStats through SiteDriver::TakeTelemetry).
+  SiteTelemetry TakeSavings();
 
   const std::string& fingerprint() const { return fingerprint_; }
 
@@ -138,7 +138,7 @@ class MemoSession {
 
   std::mutex mu_;
   std::map<FragmentId, FragmentTrack> tracks_;
-  MemoSavings savings_;
+  SiteTelemetry savings_;
 };
 
 }  // namespace paxml

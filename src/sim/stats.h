@@ -1,14 +1,26 @@
-// Accounting for simulated distributed query runs.
+// Accounting for distributed query runs, split by type into two halves.
 //
-// The paper's guarantees are stated in exactly these units:
-//  * visits per site (<= 3 for PaX3, <= 2 for PaX2, 1 for ParBoX),
+// RunLedger is the paper's accounting, in exactly the units its guarantees
+// are stated in:
+//  * visits per site (<= 3 for PaX3, <= 2 for PaX2, 1 for ParBoX) and
+//    rounds,
 //  * communication volume O(|Q| |FT| + |ans|) — bytes, independent of |T|,
-//  * total computation (sum over sites) and parallel computation (max over
-//    sites per round, summed over rounds).
+//    with the per-site and per-edge splits and the bytes the wire carried.
+// It is bit-identical across transports and schedules, and is compared
+// whole (operator==), never field by field.
+//
+// RunTelemetry is advisory: total computation (sum over sites), parallel
+// computation (max over sites per round, summed over rounds), coordinator
+// time, and the memo/pool counters sites report (SiteTelemetry). It
+// depends on the clock and on the pool, and is never compared.
+//
+// RunStats inherits both, so `stats.total_bytes` and `stats.pool_tasks`
+// read as before; `stats.ledger()` is the half to compare.
 
 #ifndef PAXML_SIM_STATS_H_
 #define PAXML_SIM_STATS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -36,14 +48,15 @@ struct EdgeStats {
   bool operator==(const EdgeStats&) const = default;
 };
 
-/// Counters for one site across one query run.
+/// Ledger counters for one site across one query run.
 struct SiteStats {
   int visits = 0;                ///< rounds in which the site participated
   uint64_t bytes_sent = 0;       ///< payload bytes sent by the site
   uint64_t bytes_received = 0;   ///< payload bytes delivered to the site
   uint64_t messages_sent = 0;
   uint64_t messages_received = 0;
-  double compute_seconds = 0;    ///< wall time of the site's work closures
+
+  bool operator==(const SiteStats&) const = default;
 };
 
 /// Latency/bandwidth model turning message counts and bytes into seconds.
@@ -83,46 +96,13 @@ struct NetworkCostModel {
   }
 };
 
-/// Site-pool saturation observed while a run's deliveries fanned out
-/// (runtime/site_driver.h, DESIGN.md §14). Like MemoSavings these are
-/// *extra* information, excluded from the bit-identity contract: `tasks`
-/// counts the lane tasks this run's deliveries submitted
-/// (exact, per run), while the peaks are gauges of the pool the run
-/// shared — under concurrent runs they show combined pressure, which is
-/// precisely the saturation signal the bench tables report.
-struct PoolStats {
-  uint64_t tasks = 0;       ///< pool tasks submitted (one per lane task)
-  uint64_t busy_peak = 0;   ///< max simultaneously busy workers observed
-  uint64_t queue_peak = 0;  ///< max queued-task depth observed
-
-  PoolStats& operator+=(const PoolStats& o) {
-    tasks += o.tasks;
-    busy_peak = busy_peak > o.busy_peak ? busy_peak : o.busy_peak;
-    queue_peak = queue_peak > o.queue_peak ? queue_peak : o.queue_peak;
-    return *this;
-  }
-};
-
-/// Work a fragment-stage memo avoided during a run (serving layer,
-/// DESIGN.md §12). Savings are *extra* information: the canonical counters
-/// (visits, bytes, messages) still describe the protocol the coordinator
-/// observed — a memo-served reply is accounted exactly like a computed one,
-/// which is what keeps cached and uncached runs bit-identical.
-struct MemoSavings {
-  uint64_t fragment_hits = 0;  ///< memo-served (fragment, step) deliveries
-  uint64_t saved_bytes = 0;    ///< accounted reply bytes served from memo
-  double saved_seconds = 0;    ///< site compute time the hits skipped
-
-  MemoSavings& operator+=(const MemoSavings& o) {
-    fragment_hits += o.fragment_hits;
-    saved_bytes += o.saved_bytes;
-    saved_seconds += o.saved_seconds;
-    return *this;
-  }
-};
-
-/// Aggregated statistics of one distributed query evaluation.
-struct RunStats {
+/// The paper's accounting of one run: every count its guarantees are
+/// stated in, plus the wire split the framed message plane actually wrote.
+/// Deterministic by contract — bit-identical across the sync, pooled and
+/// socket transports, any site_threads, memo on or off, and a run alone or
+/// beside others (DESIGN.md §9). A field added here is compared everywhere
+/// the contract is checked, through the defaulted operator==.
+struct RunLedger {
   std::vector<SiteStats> per_site;
 
   int rounds = 0;                   ///< coordinator-driven stages executed
@@ -172,6 +152,54 @@ struct RunStats {
   /// messages not attributable to a site's fragment work.
   std::map<std::pair<SiteId, SiteId>, EdgeStats> edges;
 
+  int max_visits() const;
+  uint64_t total_visits() const;
+
+  bool operator==(const RunLedger&) const = default;
+
+  /// One line per differing field, naming it ("per_site[2].visits: 1 !=
+  /// 2"); empty exactly when the ledgers are equal. For failure messages.
+  std::string Diff(const RunLedger& other) const;
+};
+
+/// Advisory counters a site driver accumulates and drains each round into
+/// its run's RunTelemetry: locally in the Coordinator's round loop, and
+/// from a socket peer as one block of its RoundDone record
+/// (runtime/wire.h). None of them is part of the ledger.
+struct SiteTelemetry {
+  /// Work a fragment-stage memo avoided (serving layer, DESIGN.md §12). A
+  /// memo-served reply is accounted in the ledger exactly like a computed
+  /// one, which is what keeps cached and uncached runs bit-identical.
+  uint64_t memo_fragment_hits = 0;  ///< memo-served (fragment, step) deliveries
+  uint64_t memo_saved_bytes = 0;    ///< accounted reply bytes served from memo
+  double memo_saved_seconds = 0;    ///< site compute time the hits skipped
+
+  /// Site-pool saturation while deliveries fanned out (DESIGN.md §14).
+  /// `pool_tasks` is exact per run; the peaks are gauges of the pool the
+  /// run shared, so under concurrent runs they show combined pressure.
+  uint64_t pool_tasks = 0;       ///< pool tasks submitted (one per lane task)
+  uint64_t pool_busy_peak = 0;   ///< max simultaneously busy workers observed
+  uint64_t pool_queue_peak = 0;  ///< max queued-task depth observed
+
+  /// Sums the counts and keeps the larger of each peak.
+  SiteTelemetry& operator+=(const SiteTelemetry& o) {
+    memo_fragment_hits += o.memo_fragment_hits;
+    memo_saved_bytes += o.memo_saved_bytes;
+    memo_saved_seconds += o.memo_saved_seconds;
+    pool_tasks += o.pool_tasks;
+    pool_busy_peak = std::max(pool_busy_peak, o.pool_busy_peak);
+    pool_queue_peak = std::max(pool_queue_peak, o.pool_queue_peak);
+    return *this;
+  }
+};
+
+/// The advisory half of a run's statistics: timing and site telemetry.
+/// Wall-clock and pool-dependent, so never compared between runs.
+struct RunTelemetry : SiteTelemetry {
+  /// Compute time per site, summed over its rounds (indexed like
+  /// RunLedger::per_site).
+  std::vector<double> site_compute_seconds;
+
   /// Sum over rounds of the maximum site compute time in that round: the
   /// perceived (parallel) evaluation time.
   double parallel_seconds = 0;
@@ -181,24 +209,12 @@ struct RunStats {
 
   /// Coordinator-side work (evalFT unification etc.).
   double coordinator_seconds = 0;
+};
 
-  /// Fragment-memo savings (zero unless TransportOptions::fragment_memo is
-  /// set). Not part of the paper's accounting; reported so serving-layer
-  /// reuse is visible without perturbing any equality-tested counter.
-  uint64_t memo_fragment_hits = 0;
-  uint64_t memo_saved_bytes = 0;
-  double memo_saved_seconds = 0;
-
-  /// Site-pool saturation splits (zero when no delivery fanned out). Like
-  /// memo_*, advisory: excluded from every bit-identity comparison — the
-  /// whole point of the parallel path is that only these and the timing
-  /// fields may differ from the serial run.
-  uint64_t pool_tasks = 0;
-  uint64_t pool_busy_peak = 0;
-  uint64_t pool_queue_peak = 0;
-
-  int max_visits() const;
-  uint64_t total_visits() const;
+/// Aggregated statistics of one distributed query evaluation: the ledger
+/// and the telemetry, with every field under its own flat name.
+struct RunStats : RunLedger, RunTelemetry {
+  const RunLedger& ledger() const { return *this; }
 
   /// Parallel time plus modeled transfer time: the end-to-end latency a
   /// client would observe.

@@ -1103,6 +1103,14 @@ TEST(RecordBufferTest, CorruptFramingIsACleanParseError) {
   }
 }
 
+/// `r` encoded as one record payload of `type`, with `extra` appended.
+template <typename R>
+WireRecord AsRecord(RecordType type, const R& r, std::string extra = "") {
+  ByteWriter w;
+  r.Encode(&w);
+  return WireRecord{type, w.bytes() + extra};
+}
+
 TEST(ControlRecordTest, RoundTrip) {
   {
     OpenRunRecord r;
@@ -1110,10 +1118,8 @@ TEST(ControlRecordTest, RoundTrip) {
     r.spec = {"PaX2", "//a[b]/c", true, 1};
     r.site_count = 4;
     r.placement = {0, 1, 2, 2, 3};
-    ByteWriter w;
-    r.Encode(&w);
-    ByteReader reader(w.bytes());
-    auto d = OpenRunRecord::Decode(&reader);
+    auto d = DecodeControlRecord<OpenRunRecord>(
+        AsRecord(RecordType::kOpenRun, r));
     ASSERT_TRUE(d.ok());
     EXPECT_EQ(d->run, r.run);
     EXPECT_EQ(d->spec.algorithm, r.spec.algorithm);
@@ -1131,49 +1137,83 @@ TEST(ControlRecordTest, RoundTrip) {
     r.spec = {"Reach", "reach 0 7", false, 0, "graph"};
     r.site_count = 4;
     r.placement = {0, 1, 2, 3};
-    ByteWriter w;
-    r.Encode(&w);
-    ByteReader reader(w.bytes());
-    auto d = OpenRunRecord::Decode(&reader);
+    auto d = DecodeControlRecord<OpenRunRecord>(
+        AsRecord(RecordType::kOpenRun, r));
     ASSERT_TRUE(d.ok());
     EXPECT_EQ(d->spec.algorithm, "Reach");
     EXPECT_EQ(d->spec.query, "reach 0 7");
     EXPECT_EQ(d->spec.family, "graph");
   }
-  {
-    RoundDoneRecord r;
-    r.run = 9;
-    r.site = 2;
-    r.seconds = 0.125;
-    r.status = Status::Internal("handler failed");
-    r.memo_fragment_hits = 3;
-    r.memo_saved_bytes = 777;
-    r.memo_saved_seconds = 0.5;
-    r.pool_tasks = 6;
-    r.pool_busy_peak = 4;
-    r.pool_queue_peak = 2;
-    ByteWriter w;
-    r.Encode(&w);
-    ByteReader reader(w.bytes());
-    auto d = RoundDoneRecord::Decode(&reader);
-    ASSERT_TRUE(d.ok());
-    EXPECT_TRUE(reader.AtEnd());
-    EXPECT_EQ(d->run, r.run);
-    EXPECT_EQ(d->site, r.site);
-    EXPECT_EQ(d->seconds, r.seconds);
-    EXPECT_EQ(d->status.code(), StatusCode::kInternal);
-    EXPECT_EQ(d->status.message(), "handler failed");
-    EXPECT_EQ(d->memo_fragment_hits, 3u);
-    EXPECT_EQ(d->memo_saved_bytes, 777u);
-    EXPECT_EQ(d->memo_saved_seconds, 0.5);
-    EXPECT_EQ(d->pool_tasks, 6u);
-    EXPECT_EQ(d->pool_busy_peak, 4u);
-    EXPECT_EQ(d->pool_queue_peak, 2u);
-    // Every field is required: a record missing its last one is an error.
-    const std::string truncated = w.bytes().substr(0, w.bytes().size() - 1);
-    ByteReader short_reader(truncated);
-    EXPECT_FALSE(RoundDoneRecord::Decode(&short_reader).ok());
-  }
+}
+
+// Every field of a control record is required and nothing may follow the
+// last one, so a layout change under the same protocol version cannot
+// decode silently.
+TEST(ControlRecordTest, TrailingBytesAreRejected) {
+  CloseRunRecord close;
+  close.run = 42;
+  HelloRecord hello;
+  hello.site = 1;
+  EXPECT_TRUE(DecodeControlRecord<CloseRunRecord>(
+                  AsRecord(RecordType::kCloseRun, close))
+                  .ok());
+  EXPECT_TRUE(
+      DecodeControlRecord<HelloRecord>(AsRecord(RecordType::kHello, hello))
+          .ok());
+  EXPECT_EQ(DecodeControlRecord<CloseRunRecord>(
+                AsRecord(RecordType::kCloseRun, close, "garbage"))
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(DecodeControlRecord<HelloRecord>(
+                AsRecord(RecordType::kHello, hello, "\x01\x02"))
+                .status()
+                .code(),
+            StatusCode::kParseError);
+}
+
+// RoundDone's v7 layout, byte for byte: run, site, seconds, status, then the
+// telemetry block (memo hits, saved bytes, saved seconds, pool tasks, busy
+// peak, queue peak). Changing it is a protocol change and must bump
+// kWireProtocolVersion.
+TEST(ControlRecordTest, RoundDoneLayoutIsPinned) {
+  RoundDoneRecord r;
+  r.run = 9;
+  r.site = 2;
+  r.seconds = 0.125;
+  r.status = Status::Internal("handler failed");
+  r.telemetry.memo_fragment_hits = 3;
+  r.telemetry.memo_saved_bytes = 777;
+  r.telemetry.memo_saved_seconds = 0.5;
+  r.telemetry.pool_tasks = 6;
+  r.telemetry.pool_busy_peak = 4;
+  r.telemetry.pool_queue_peak = 300;
+  const WireRecord record = AsRecord(RecordType::kRoundDone, r);
+  const std::string expected(
+      "\x09\x03\x00\x00\x00\x00\x00\x00\xc0\x3f\x06\x0e"
+      "handler failed"
+      "\x03\x89\x06\x00\x00\x00\x00\x00\x00\xe0\x3f\x06\x04\xac\x02",
+      41);
+  EXPECT_EQ(kWireProtocolVersion, 7u);
+  EXPECT_EQ(record.payload, expected);
+
+  auto d = DecodeControlRecord<RoundDoneRecord>(record);
+  ASSERT_TRUE(d.ok()) << d.status();
+  EXPECT_EQ(d->run, r.run);
+  EXPECT_EQ(d->site, r.site);
+  EXPECT_EQ(d->seconds, r.seconds);
+  EXPECT_EQ(d->status.code(), StatusCode::kInternal);
+  EXPECT_EQ(d->status.message(), "handler failed");
+  EXPECT_EQ(d->telemetry.memo_fragment_hits, 3u);
+  EXPECT_EQ(d->telemetry.memo_saved_bytes, 777u);
+  EXPECT_EQ(d->telemetry.memo_saved_seconds, 0.5);
+  EXPECT_EQ(d->telemetry.pool_tasks, 6u);
+  EXPECT_EQ(d->telemetry.pool_busy_peak, 4u);
+  EXPECT_EQ(d->telemetry.pool_queue_peak, 300u);
+  // Every field is required: a record missing its last byte is an error.
+  EXPECT_FALSE(DecodeControlRecord<RoundDoneRecord>(
+                   {RecordType::kRoundDone, expected.substr(0, 40)})
+                   .ok());
 }
 
 // ---- Graph message kinds on the shared wire ---------------------------------

@@ -155,37 +155,12 @@ class Deployment {
   std::map<SiteId, std::string> endpoints_;
 };
 
-// ---- Exact-equality helpers -------------------------------------------------
+// ---- Helpers ----------------------------------------------------------------
 
 std::vector<int> Visits(const RunStats& s) {
   std::vector<int> v;
   for (const SiteStats& p : s.per_site) v.push_back(p.visits);
   return v;
-}
-
-void ExpectStatsEqual(const RunStats& got, const RunStats& want,
-                      const std::string& label) {
-  EXPECT_EQ(got.rounds, want.rounds) << label;
-  EXPECT_EQ(Visits(got), Visits(want)) << label;
-  EXPECT_EQ(got.total_messages, want.total_messages) << label;
-  EXPECT_EQ(got.total_envelopes, want.total_envelopes) << label;
-  EXPECT_EQ(got.total_bytes, want.total_bytes) << label;
-  EXPECT_EQ(got.answer_bytes, want.answer_bytes) << label;
-  EXPECT_EQ(got.data_bytes_shipped, want.data_bytes_shipped) << label;
-  EXPECT_EQ(got.wire_bytes, want.wire_bytes) << label;
-  EXPECT_EQ(got.edges, want.edges) << label;
-  ASSERT_EQ(got.per_site.size(), want.per_site.size()) << label;
-  for (size_t s = 0; s < want.per_site.size(); ++s) {
-    EXPECT_EQ(got.per_site[s].bytes_sent, want.per_site[s].bytes_sent)
-        << label << " site " << s;
-    EXPECT_EQ(got.per_site[s].bytes_received, want.per_site[s].bytes_received)
-        << label << " site " << s;
-    EXPECT_EQ(got.per_site[s].messages_sent, want.per_site[s].messages_sent)
-        << label << " site " << s;
-    EXPECT_EQ(got.per_site[s].messages_received,
-              want.per_site[s].messages_received)
-        << label << " site " << s;
-  }
 }
 
 // ---- Worlds -----------------------------------------------------------------
@@ -299,8 +274,9 @@ TEST(ReachDeterminismTest, SyncPooledAndThreadedAreBitIdentical) {
     ASSERT_TRUE(t.ok()) << label << ": " << t.status();
     EXPECT_EQ(p->answers, s->answers) << label;
     EXPECT_EQ(t->answers, s->answers) << label;
-    ExpectStatsEqual(p->stats, s->stats, "pooled|" + label);
-    ExpectStatsEqual(t->stats, s->stats, "threads=4|" + label);
+    EXPECT_TRUE(testing::SameLedger(p->stats, s->stats)) << "pooled|" + label;
+    EXPECT_TRUE(testing::SameLedger(t->stats, s->stats))
+        << "threads=4|" + label;
   }
 }
 
@@ -336,7 +312,7 @@ TEST(ReachSocketTest, FourProcessDeploymentReproducesSyncExactly) {
           label + "|threads=" + std::to_string(threads);
       ASSERT_TRUE(remote.ok()) << tlabel << ": " << remote.status();
       EXPECT_EQ(remote->answers, sync->answers) << tlabel;
-      ExpectStatsEqual(remote->stats, sync->stats, tlabel);
+      EXPECT_TRUE(testing::SameLedger(remote->stats, sync->stats)) << tlabel;
     }
   }
 }
@@ -365,7 +341,8 @@ TEST(ReachSocketTest, EngineSubmitRoutesByWorkload) {
     auto baseline = EvaluateReachability(*w.cluster, q);
     ASSERT_TRUE(baseline.ok());
     EXPECT_EQ(report.result->answers, baseline->answers);
-    ExpectStatsEqual(report.stats, baseline->stats, FormatReachQuery(q));
+    EXPECT_TRUE(testing::SameLedger(report.stats, baseline->stats))
+        << FormatReachQuery(q);
   }
 
   // An XPath string over graph data fails to parse as a reach query — the

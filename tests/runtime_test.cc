@@ -439,13 +439,6 @@ Fixture XMarkFixture() {
   return fx;
 }
 
-std::vector<int> Visits(const RunStats& s) {
-  std::vector<int> v;
-  v.reserve(s.per_site.size());
-  for (const SiteStats& p : s.per_site) v.push_back(p.visits);
-  return v;
-}
-
 void ExpectBackendsAgree(const Fixture& fx) {
   for (const std::string& query : fx.queries) {
     for (auto algo : {DistributedAlgorithm::kPaX2, DistributedAlgorithm::kPaX3,
@@ -469,15 +462,8 @@ void ExpectBackendsAgree(const Fixture& fx) {
         const std::string label = fx.name + "|" + AlgorithmName(algo) +
                                   (xa ? "-XA" : "-NA") + "|" + query;
         EXPECT_EQ(sync_r->answers, pooled_r->answers) << label;
-        EXPECT_EQ(Visits(sync_r->stats), Visits(pooled_r->stats)) << label;
-        EXPECT_EQ(sync_r->stats.edges, pooled_r->stats.edges) << label;
-        EXPECT_EQ(sync_r->stats.total_bytes, pooled_r->stats.total_bytes)
+        EXPECT_TRUE(testing::SameLedger(pooled_r->stats, sync_r->stats))
             << label;
-        EXPECT_EQ(sync_r->stats.total_messages, pooled_r->stats.total_messages)
-            << label;
-        EXPECT_EQ(sync_r->stats.answer_bytes, pooled_r->stats.answer_bytes)
-            << label;
-        EXPECT_EQ(sync_r->stats.rounds, pooled_r->stats.rounds) << label;
       }
     }
   }
@@ -504,8 +490,7 @@ TEST(TransportEquivalenceTest, PooledRunsAreDeterministic) {
     auto r = EvaluateDistributed(*fx.cluster, query, options);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->answers, first->answers);
-    EXPECT_EQ(r->stats.edges, first->stats.edges);
-    EXPECT_EQ(r->stats.total_bytes, first->stats.total_bytes);
+    EXPECT_TRUE(testing::SameLedger(r->stats, first->stats));
   }
 }
 
@@ -548,12 +533,8 @@ void ExpectBatchMatchesSequential(const Fixture& fx, DistributedAlgorithm algo,
                                     << sequential[i].status();
     ASSERT_TRUE(batched[i].ok()) << label << ": " << batched[i].status();
     EXPECT_EQ(batched[i]->answers, sequential[i]->answers) << label;
-    EXPECT_EQ(Visits(batched[i]->stats), Visits(sequential[i]->stats))
+    EXPECT_TRUE(testing::SameLedger(batched[i]->stats, sequential[i]->stats))
         << label;
-    EXPECT_EQ(batched[i]->stats.edges, sequential[i]->stats.edges) << label;
-    EXPECT_EQ(batched[i]->stats.total_bytes, sequential[i]->stats.total_bytes)
-        << label;
-    EXPECT_EQ(batched[i]->stats.rounds, sequential[i]->stats.rounds) << label;
   }
 }
 

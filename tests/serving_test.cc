@@ -333,19 +333,7 @@ TEST_F(ServingTest, MemoSecondRunReportsSavingsWithIdenticalAccounting) {
 
   // The protocol the coordinator observed is unchanged to the byte.
   EXPECT_EQ(second.result->answers, first.result->answers);
-  EXPECT_EQ(second.stats.rounds, first.stats.rounds);
-  EXPECT_EQ(second.stats.total_bytes, first.stats.total_bytes);
-  EXPECT_EQ(second.stats.total_messages, first.stats.total_messages);
-  EXPECT_EQ(second.stats.total_envelopes, first.stats.total_envelopes);
-  EXPECT_EQ(second.stats.answer_bytes, first.stats.answer_bytes);
-  EXPECT_EQ(second.stats.wire_bytes, first.stats.wire_bytes);
-  EXPECT_EQ(second.stats.edges, first.stats.edges);
-  ASSERT_EQ(second.stats.per_site.size(), first.stats.per_site.size());
-  for (size_t s = 0; s < first.stats.per_site.size(); ++s) {
-    EXPECT_EQ(second.stats.per_site[s].visits, first.stats.per_site[s].visits);
-    EXPECT_EQ(second.stats.per_site[s].bytes_sent,
-              first.stats.per_site[s].bytes_sent);
-  }
+  EXPECT_TRUE(testing::SameLedger(second.stats, first.stats));
 
   // And identical to a cold engine with no serving layer at all.
   EngineConfig cold_config;
@@ -354,8 +342,7 @@ TEST_F(ServingTest, MemoSecondRunReportsSavingsWithIdenticalAccounting) {
   QueryReport plain = cold.Submit(kQueryA).TakeReport();
   ASSERT_TRUE(plain.result.ok());
   EXPECT_EQ(plain.result->answers, second.result->answers);
-  EXPECT_EQ(plain.stats.total_bytes, second.stats.total_bytes);
-  EXPECT_EQ(plain.stats.edges, second.stats.edges);
+  EXPECT_TRUE(testing::SameLedger(second.stats, plain.stats));
 }
 
 TEST_F(ServingTest, MemoKeysOnEpochAndFingerprint) {
@@ -409,8 +396,8 @@ TEST(MemoSessionTest, ReplaysUntilDivergenceThenHandsBackRecoveryPrefix) {
     first.Record(1, req_a, {reply}, 0.25);
     EXPECT_FALSE(first.Lookup(1, req_b, &replies, &recover));
     first.Record(1, req_b, {reply, reply}, 0.25);
-    const MemoSavings none = first.TakeSavings();
-    EXPECT_EQ(none.fragment_hits, 0u);
+    const SiteTelemetry none = first.TakeSavings();
+    EXPECT_EQ(none.memo_fragment_hits, 0u);
   }
 
   {
@@ -428,9 +415,9 @@ TEST(MemoSessionTest, ReplaysUntilDivergenceThenHandsBackRecoveryPrefix) {
     recover.clear();
     EXPECT_FALSE(second.Lookup(1, req_b, &replies, &recover));
     EXPECT_TRUE(recover.empty());
-    const MemoSavings saved = second.TakeSavings();
-    EXPECT_EQ(saved.fragment_hits, 1u);
-    EXPECT_GT(saved.saved_seconds, 0.0);
+    const SiteTelemetry saved = second.TakeSavings();
+    EXPECT_EQ(saved.memo_fragment_hits, 1u);
+    EXPECT_GT(saved.memo_saved_seconds, 0.0);
   }
 
   // A different epoch shares nothing.
@@ -461,31 +448,6 @@ TEST(FragmentMemoTest, DigestMismatchIsAMissAndRunIdIsExcluded) {
   EXPECT_FALSE(memo.Lookup("k", EnvelopeDigest(different), &out));
   EXPECT_EQ(memo.stats().hits, 1u);
   EXPECT_EQ(memo.stats().misses, 1u);
-}
-
-// ---- RoundDone wire record --------------------------------------------------
-
-// Protocol v4: a peer's memo savings ride back in RoundDone.
-TEST(WireTest, RoundDoneRecordRoundtripsMemoSavings) {
-  RoundDoneRecord record;
-  record.run = 11;
-  record.site = 3;
-  record.seconds = 0.5;
-  record.status = Status::OK();
-  record.memo_fragment_hits = 17;
-  record.memo_saved_bytes = 4096;
-  record.memo_saved_seconds = 0.125;
-
-  ByteWriter w;
-  record.Encode(&w);
-  ByteReader reader(w.bytes());
-  auto decoded = RoundDoneRecord::Decode(&reader);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->run, record.run);
-  EXPECT_EQ(decoded->site, record.site);
-  EXPECT_EQ(decoded->memo_fragment_hits, 17u);
-  EXPECT_EQ(decoded->memo_saved_bytes, 4096u);
-  EXPECT_EQ(decoded->memo_saved_seconds, 0.125);
 }
 
 }  // namespace

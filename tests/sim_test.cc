@@ -107,5 +107,30 @@ TEST(RunStatsTest, ToStringMentionsSitesAndEdges) {
   EXPECT_NE(out.find("edge 0->1"), std::string::npos);
 }
 
+// The ledger compares whole and its diff names every differing field;
+// telemetry never takes part.
+TEST(RunStatsTest, LedgerDiffNamesEachDifferingField) {
+  RunStats a;
+  a.per_site.resize(2);
+  a.edges[{0, 1}] = EdgeStats{1, 1, 64};
+  RunStats b = a;
+  b.parallel_seconds = 1;
+  b.pool_tasks = 3;
+  b.memo_fragment_hits = 2;
+  EXPECT_TRUE(a.ledger() == b.ledger());
+  EXPECT_EQ(a.Diff(b), "");
+
+  b.wire_bytes = 5;
+  b.per_site[1].visits = 1;
+  b.edges[{0, 1}].bytes = 65;
+  b.edges[{1, 0}] = EdgeStats{};
+  EXPECT_FALSE(a.ledger() == b.ledger());
+  EXPECT_EQ(a.Diff(b),
+            "wire_bytes: 0 != 5\n"
+            "per_site[1].visits: 0 != 1\n"
+            "edges[0->1].bytes: 64 != 65\n"
+            "edges[1->0]: only in other\n");
+}
+
 }  // namespace
 }  // namespace paxml

@@ -175,58 +175,17 @@ class Deployment {
   std::map<SiteId, std::string> endpoints_;
 };
 
-// ---- Exact-equality helpers -------------------------------------------------
+// ---- Ledger helpers ---------------------------------------------------------
 
-std::vector<int> Visits(const RunStats& s) {
-  std::vector<int> v;
-  for (const SiteStats& p : s.per_site) v.push_back(p.visits);
-  return v;
-}
-
-/// The logical ledger — every count the paper's guarantees are stated in,
-/// plus the full per-site and per-edge splits. This is the half frame
-/// compression must never disturb, so fallback tests (where wire accounting
-/// legitimately differs between runs) assert exactly this. The delta-codec
-/// fields are envelope-level and deterministic, so they belong here too.
-/// Timing fields are wall-clock and excluded.
-void ExpectLogicalStatsEqual(const RunStats& socket, const RunStats& sync,
-                             const std::string& label) {
-  EXPECT_EQ(socket.rounds, sync.rounds) << label;
-  EXPECT_EQ(Visits(socket), Visits(sync)) << label;
-  EXPECT_EQ(socket.total_messages, sync.total_messages) << label;
-  EXPECT_EQ(socket.total_envelopes, sync.total_envelopes) << label;
-  EXPECT_EQ(socket.total_bytes, sync.total_bytes) << label;
-  EXPECT_EQ(socket.answer_bytes, sync.answer_bytes) << label;
-  EXPECT_EQ(socket.data_bytes_shipped, sync.data_bytes_shipped) << label;
-  EXPECT_EQ(socket.delta_logical_bytes, sync.delta_logical_bytes) << label;
-  EXPECT_EQ(socket.delta_wire_bytes, sync.delta_wire_bytes) << label;
-  EXPECT_EQ(socket.edges, sync.edges) << label;
-  ASSERT_EQ(socket.per_site.size(), sync.per_site.size()) << label;
-  for (size_t s = 0; s < sync.per_site.size(); ++s) {
-    EXPECT_EQ(socket.per_site[s].bytes_sent, sync.per_site[s].bytes_sent)
-        << label << " site " << s;
-    EXPECT_EQ(socket.per_site[s].bytes_received,
-              sync.per_site[s].bytes_received)
-        << label << " site " << s;
-    EXPECT_EQ(socket.per_site[s].messages_sent,
-              sync.per_site[s].messages_sent)
-        << label << " site " << s;
-    EXPECT_EQ(socket.per_site[s].messages_received,
-              sync.per_site[s].messages_received)
-        << label << " site " << s;
-  }
-}
-
-/// The logical ledger plus the wire split. Applies whenever both runs price
-/// frames with the same threshold — including compressed deployments,
-/// because EncodeFrameForWire is the one shared pricing path.
-void ExpectStatsEqual(const RunStats& socket, const RunStats& sync,
-                      const std::string& label) {
-  ExpectLogicalStatsEqual(socket, sync, label);
-  EXPECT_EQ(socket.wire_bytes, sync.wire_bytes) << label;
-  EXPECT_EQ(socket.wire_raw_bytes, sync.wire_raw_bytes) << label;
-  EXPECT_EQ(socket.wire_frames_compressed, sync.wire_frames_compressed)
-      << label;
+/// `ledger` with the wire split (wire_bytes, wire_raw_bytes,
+/// wire_frames_compressed) of `wire` copied in. Frame compression changes
+/// only those three fields, so a run with it compares against a run
+/// without it through this — every other ledger field still compared.
+RunLedger WithWireOf(RunLedger ledger, const RunLedger& wire) {
+  ledger.wire_bytes = wire.wire_bytes;
+  ledger.wire_raw_bytes = wire.wire_raw_bytes;
+  ledger.wire_frames_compressed = wire.wire_frames_compressed;
+  return ledger;
 }
 
 /// CI smoke hook: PAXML_SITE_THREADS=N re-runs every socket test in this
@@ -310,7 +269,7 @@ TEST(SocketTransportTest, ClienteleReproducesSyncExactly) {
         ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
         ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
         EXPECT_EQ(socket->answers, sync->answers) << label;
-        ExpectStatsEqual(socket->stats, sync->stats, label);
+        EXPECT_TRUE(testing::SameLedger(socket->stats, sync->stats)) << label;
       }
     }
   }
@@ -333,7 +292,7 @@ TEST(SocketTransportTest, BooleanQueryViaParBoX) {
   ASSERT_TRUE(sync.ok()) << sync.status();
   ASSERT_TRUE(socket.ok()) << socket.status();
   EXPECT_EQ(socket->answers, sync->answers);
-  ExpectStatsEqual(socket->stats, sync->stats, "parbox");
+  EXPECT_TRUE(testing::SameLedger(socket->stats, sync->stats)) << "parbox";
 }
 
 // ---- The acceptance bar: FT2 on the paper's four machines -------------------
@@ -356,7 +315,7 @@ TEST(SocketTransportTest, FT2PaperPlacementReproducesSyncExactly) {
       ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
       ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
       EXPECT_EQ(socket->answers, sync->answers) << label;
-      ExpectStatsEqual(socket->stats, sync->stats, label);
+      EXPECT_TRUE(testing::SameLedger(socket->stats, sync->stats)) << label;
     }
   }
 }
@@ -383,7 +342,7 @@ TEST(SocketTransportTest, FT2ParallelSitesReproduceSyncExactly) {
       ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
       ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
       EXPECT_EQ(socket->answers, sync->answers) << label;
-      ExpectStatsEqual(socket->stats, sync->stats, label);
+      EXPECT_TRUE(testing::SameLedger(socket->stats, sync->stats)) << label;
     }
   }
 }
@@ -438,8 +397,10 @@ TEST(SocketTransportTest, ConcurrentRunsOnOnePeerReproduceSoloStats) {
     ASSERT_TRUE(got_b.ok()) << label << ": " << got_b.status();
     EXPECT_EQ(got_a->answers, solo_a->answers) << label;
     EXPECT_EQ(got_b->answers, solo_b->answers) << label;
-    ExpectStatsEqual(got_a->stats, solo_a->stats, label + "|run A");
-    ExpectStatsEqual(got_b->stats, solo_b->stats, label + "|run B");
+    EXPECT_TRUE(testing::SameLedger(got_a->stats, solo_a->stats))
+        << label + "|run A";
+    EXPECT_TRUE(testing::SameLedger(got_b->stats, solo_b->stats))
+        << label + "|run B";
   }
 }
 
@@ -501,8 +462,8 @@ TEST(SocketTransportTest, ConcurrentRunsDegradeCleanlyWhenServerCapsRounds) {
   ASSERT_TRUE(got_b.ok()) << got_b.status();
   EXPECT_EQ(got_a->answers, solo->answers);
   EXPECT_EQ(got_b->answers, solo->answers);
-  ExpectStatsEqual(got_a->stats, solo->stats, "capped|run A");
-  ExpectStatsEqual(got_b->stats, solo->stats, "capped|run B");
+  EXPECT_TRUE(testing::SameLedger(got_a->stats, solo->stats)) << "capped|run A";
+  EXPECT_TRUE(testing::SameLedger(got_b->stats, solo->stats)) << "capped|run B";
 }
 
 // ---- Frame compression over real processes (DESIGN.md §13) ------------------
@@ -537,14 +498,16 @@ TEST(SocketTransportTest, CompressedFT2ReproducesSyncModelExactly) {
       ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
       ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
       EXPECT_EQ(socket->answers, sync->answers) << label;
-      ExpectStatsEqual(socket->stats, sync->stats, label);
+      EXPECT_TRUE(testing::SameLedger(socket->stats, sync->stats)) << label;
 
       // Compression must leave the logical ledger untouched: identical to
       // a run that never heard of the codec.
       auto plain =
           EvaluateDistributed(*w.cluster, q.text, SyncOptions(algo, false));
       ASSERT_TRUE(plain.ok()) << label << ": " << plain.status();
-      ExpectLogicalStatsEqual(socket->stats, plain->stats, label + "|plain");
+      EXPECT_TRUE(testing::SameLedger(
+          socket->stats, WithWireOf(plain->stats.ledger(), socket->stats)))
+          << label << "|plain";
 
       compressed_frames += socket->stats.wire_frames_compressed;
       raw_bytes += socket->stats.wire_raw_bytes;
@@ -577,7 +540,9 @@ TEST(SocketTransportTest, DeclinedCompressionOfferRunsRawAndCorrect) {
     ASSERT_TRUE(sync.ok()) << query << ": " << sync.status();
     ASSERT_TRUE(socket.ok()) << query << ": " << socket.status();
     EXPECT_EQ(socket->answers, sync->answers) << query;
-    ExpectLogicalStatsEqual(socket->stats, sync->stats, query);
+    EXPECT_TRUE(testing::SameLedger(
+        socket->stats, WithWireOf(sync->stats.ledger(), socket->stats)))
+        << query;
   }
 }
 
@@ -608,7 +573,7 @@ TEST(SocketTransportTest, NonDefaultChunkKnobsReproduceSyncExactly) {
     ASSERT_TRUE(sync.ok()) << label << ": " << sync.status();
     ASSERT_TRUE(socket.ok()) << label << ": " << socket.status();
     EXPECT_EQ(socket->answers, sync->answers) << label;
-    ExpectStatsEqual(socket->stats, sync->stats, label);
+    EXPECT_TRUE(testing::SameLedger(socket->stats, sync->stats)) << label;
   }
 }
 
@@ -644,7 +609,8 @@ TEST(SocketTransportTest, EngineSubmitWorksUnchangedOverSockets) {
                                             false));
     ASSERT_TRUE(baseline.ok());
     EXPECT_EQ(report.result->answers, baseline->answers) << queries[i];
-    ExpectStatsEqual(report.stats, baseline->stats, queries[i]);
+    EXPECT_TRUE(testing::SameLedger(report.stats, baseline->stats))
+        << queries[i];
     EXPECT_GT(handles[i].Progress().rounds, 0) << queries[i];
   }
 }

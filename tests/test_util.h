@@ -8,9 +8,12 @@
 #include <string>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "common/logging.h"
 #include "common/rng.h"
 #include "eval/centralized.h"
+#include "sim/stats.h"
 #include "xml/builder.h"
 #include "xml/tree.h"
 
@@ -207,6 +210,16 @@ inline std::vector<std::string> PropertyQueryBattery() {
       "//a[b][c]/d",
       "//d[.//a or val() < 15]",
   };
+}
+
+/// The one comparator of the ledger contract (DESIGN.md §9): two runs'
+/// ledgers compared whole, with every differing field named on failure.
+/// Use as EXPECT_TRUE(testing::SameLedger(got.stats, want.stats)) << label.
+inline ::testing::AssertionResult SameLedger(const RunLedger& got,
+                                             const RunLedger& want) {
+  if (got == want) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "ledgers differ:\n"
+                                       << got.Diff(want);
 }
 
 }  // namespace paxml::testing
