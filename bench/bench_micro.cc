@@ -1,15 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the building blocks: XML parsing
 // and serialization, query compilation, the two evaluation passes, formula
-// algebra, and the wire codec. Useful for regression-tracking the constant
-// factors behind the figure benchmarks.
+// algebra, the wire codec, and one PaX2 query over FT2. Useful for
+// regression-tracking the constant factors behind the figure benchmarks.
 
 #include <benchmark/benchmark.h>
 
 #include "boolexpr/codec.h"
 #include "boolexpr/formula.h"
+#include "core/pax2.h"
 #include "eval/centralized.h"
 #include "eval/qualifier_pass.h"
 #include "eval/selection_pass.h"
+#include "harness.h"
+#include "runtime/transport.h"
 #include "xmark/generator.h"
 #include "xmark/queries.h"
 #include "xml/parser.h"
@@ -94,6 +97,23 @@ void BM_QualifierPassFormula(benchmark::State& state) {
                           static_cast<int64_t>(t.size()));
 }
 BENCHMARK(BM_QualifierPassFormula);
+
+// One PaX2 query end to end over FT2 on the paper's four sites, at the
+// end-to-end benchmark's data scale: both visits' site compute, the
+// coordinator's unification and SyncTransport's deterministic delivery.
+// Arg 2 runs Q2 (qualifier-free, '//'), arg 3 runs Q3 (qualifiers).
+void BM_Pax2Ft2(benchmark::State& state) {
+  static const bench::Workload* const w =
+      new bench::Workload(bench::MakeFT2Paper(0.25));
+  auto q = CompileXPath(state.range(0) == 2 ? xmark::kQ2 : xmark::kQ3,
+                        w->doc->symbols());
+  SyncTransport transport;
+  for (auto _ : state) {
+    auto r = EvaluatePaX2(*w->cluster, *q, PaxOptions{}, &transport);
+    benchmark::DoNotOptimize(r.ok());
+  }
+}
+BENCHMARK(BM_Pax2Ft2)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
 
 void BM_FormulaOps(benchmark::State& state) {
   for (auto _ : state) {

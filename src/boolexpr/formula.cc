@@ -50,11 +50,7 @@ Formula FormulaArena::Not(Formula f) {
   return Intern(FormulaKind::kNot, static_cast<uint32_t>(f), 0);
 }
 
-Formula FormulaArena::And(Formula a, Formula b) {
-  if (a == kFalseFormula || b == kFalseFormula) return kFalseFormula;
-  if (a == kTrueFormula) return b;
-  if (b == kTrueFormula) return a;
-  if (a == b) return a;
+Formula FormulaArena::MakeAnd(Formula a, Formula b) {
   if (AreComplements(a, b)) return kFalseFormula;
   // Canonical operand order makes hash-consing commutative.
   if (a > b) std::swap(a, b);
@@ -62,11 +58,7 @@ Formula FormulaArena::And(Formula a, Formula b) {
                 static_cast<uint32_t>(b));
 }
 
-Formula FormulaArena::Or(Formula a, Formula b) {
-  if (a == kTrueFormula || b == kTrueFormula) return kTrueFormula;
-  if (a == kFalseFormula) return b;
-  if (b == kFalseFormula) return a;
-  if (a == b) return a;
+Formula FormulaArena::MakeOr(Formula a, Formula b) {
   if (AreComplements(a, b)) return kTrueFormula;
   if (a > b) std::swap(a, b);
   return Intern(FormulaKind::kOr, static_cast<uint32_t>(a),

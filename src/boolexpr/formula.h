@@ -72,8 +72,23 @@ class FormulaArena {
   Formula Var(VarId v);
 
   Formula Not(Formula f);
-  Formula And(Formula a, Formula b);
-  Formula Or(Formula a, Formula b);
+
+  /// Constant and identical-operand folding runs inline: the qualifier
+  /// aggregation calls these at every node, almost always on constants.
+  Formula And(Formula a, Formula b) {
+    if (a == kFalseFormula || b == kFalseFormula) return kFalseFormula;
+    if (a == kTrueFormula) return b;
+    if (b == kTrueFormula) return a;
+    if (a == b) return a;
+    return MakeAnd(a, b);
+  }
+  Formula Or(Formula a, Formula b) {
+    if (a == kTrueFormula || b == kTrueFormula) return kTrueFormula;
+    if (a == kFalseFormula) return b;
+    if (b == kFalseFormula) return a;
+    if (a == b) return a;
+    return MakeOr(a, b);
+  }
 
   /// Folds And/Or over a list (empty list -> identity element).
   Formula AndAll(const std::vector<Formula>& fs);
@@ -152,6 +167,11 @@ class FormulaArena {
   };
 
   Formula Intern(FormulaKind kind, uint32_t a, uint32_t b);
+
+  /// And/Or of two distinct non-constant operands: complement check, then
+  /// interning in canonical operand order.
+  Formula MakeAnd(Formula a, Formula b);
+  Formula MakeOr(Formula a, Formula b);
 
   /// True iff a == ¬b or b == ¬a (cheap structural complement check).
   bool AreComplements(Formula a, Formula b) const;

@@ -4,6 +4,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace paxml {
 
@@ -46,11 +47,32 @@ bool IsAllWhitespace(std::string_view s) {
 std::optional<double> ParseNumber(std::string_view s) {
   s = StripWhitespace(s);
   if (s.empty()) return std::nullopt;
-  // strtod needs a NUL-terminated buffer; numbers are short, copy is cheap.
-  std::string buf(s);
+  // Most text is not a number: reject it unless its first byte can start
+  // one for strtod (digits, sign, point, "inf"/"infinity", "nan").
+  switch (s[0]) {
+    case '0': case '1': case '2': case '3': case '4':
+    case '5': case '6': case '7': case '8': case '9':
+    case '+': case '-': case '.':
+    case 'i': case 'I': case 'n': case 'N':
+      break;
+    default:
+      return std::nullopt;
+  }
+  // strtod needs a NUL-terminated buffer: a stack copy for short text, a
+  // heap copy only for text longer than any ordinary number.
+  char small[64];
+  std::string large;
+  const char* buf = small;
+  if (s.size() < sizeof(small)) {
+    std::memcpy(small, s.data(), s.size());
+    small[s.size()] = '\0';
+  } else {
+    large.assign(s);
+    buf = large.c_str();
+  }
   char* end = nullptr;
-  double value = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
+  double value = std::strtod(buf, &end);
+  if (end != buf + s.size()) return std::nullopt;
   return value;
 }
 

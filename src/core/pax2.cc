@@ -68,8 +68,11 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
   // node's post-order step once its subtree's qualifier rows exist.
   uint32_t local_counter = 0;
   Binding qz_bindings;
-  // Pending qz resolutions per node: (qual_id, var).
-  std::unordered_map<NodeId, std::vector<std::pair<int, VarId>>> pending;
+  // Pending qz resolutions, (qual_id, var), used as a stack: a node pushes
+  // its entries in its pre-order step (the root also at stack init) and
+  // pops them in its post-order step. The DFS nests, so a node's entries
+  // are the top of the stack when it resolves them, in creation order.
+  std::vector<std::pair<int, VarId>> pending;
 
   // Traversal-scoped list of document-node qualifier placeholders (the
   // corner case of a self-filter right after a leading '//'). Lives on this
@@ -77,9 +80,9 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
   // threads cannot observe each other's entries.
   std::vector<std::pair<int, VarId>> doc_quals;
 
-  auto fresh_qual_var = [&](NodeId v, int qual_id) {
+  auto fresh_qual_var = [&](int qual_id) {
     const VarId var = MakeLocalVar(local_counter++);
-    pending[v].emplace_back(qual_id, var);
+    pending.emplace_back(qual_id, var);
     return arena->Var(var);
   };
 
@@ -91,7 +94,7 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
       // Unknown until the root's post-order step: a local variable, bound
       // against the root element (the paper's convention for leading
       // qualifiers).
-      root_qual = fresh_qual_var(tree.root(), sel[0].qual);
+      root_qual = fresh_qual_var(sel[0].qual);
     }
     auto qual_at_doc = [&](int qual_id) {
       // Resolved after the traversal via EvalQualAtDoc (bound on the root's
@@ -112,13 +115,18 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
   }
 
   // ---- Combined DFS ----------------------------------------------------------
+  // `stack` is flat: the selection vector of depth d occupies
+  // [d*m, (d+1)*m), so the top is the last m values. `qual_scratch` holds
+  // the qualifier step's child aggregates. Both grow once per traversal;
+  // the per-node steps allocate nothing.
   struct Item {
     NodeId v;
     bool expanded;
+    size_t pending_begin;  // post-order: where v's qz entries start
   };
-  std::vector<Item> work = {{tree.root(), false}};
-  std::vector<std::vector<Formula>> stack;
-  stack.push_back(std::move(init));
+  std::vector<Item> work = {{tree.root(), false, 0}};
+  std::vector<Formula> stack = std::move(init);
+  std::vector<Formula> qual_scratch;
 
   while (!work.empty()) {
     Item item = work.back();
@@ -128,31 +136,39 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
     if (item.expanded) {
       // Post-order: qualifier rows, then resolve this node's qz variables.
       ComputeQualRowsAtNode(tree, query, &domain, v, virtual_hook,
-                            &st.qual_vectors, &st.ops);
-      auto it = pending.find(v);
-      if (it != pending.end()) {
-        for (auto [qual_id, var] : it->second) {
-          qz_bindings.Bind(var, EvalQualAtNode(tree, query, &domain,
-                                               st.qual_vectors, v, qual_id));
-        }
+                            &st.qual_vectors, &qual_scratch, &st.ops);
+      for (size_t p = item.pending_begin; p < pending.size(); ++p) {
+        const auto [qual_id, var] = pending[p];
+        qz_bindings.Bind(var, EvalQualAtNode(tree, query, &domain,
+                                             st.qual_vectors, v, qual_id));
       }
-      if (tree.first_child(v) != kNullNode) stack.pop_back();
+      pending.resize(item.pending_begin);
+      if (tree.first_child(v) != kNullNode) stack.resize(stack.size() - m);
       continue;
     }
 
-    const std::vector<Formula>& parent_vec = stack.back();
+    const size_t base = stack.size();
 
     if (tree.IsVirtual(v)) {
-      st.virtual_tops.push_back(
-          SelUpMessage::VirtualTop{tree.fragment_ref(v), parent_vec});
+      const Formula* top = stack.data() + base - m;
+      st.virtual_tops.push_back(SelUpMessage::VirtualTop{
+          tree.fragment_ref(v), std::vector<Formula>(top, top + m)});
       // Virtual nodes still need their qualifier rows (variables).
       ComputeQualRowsAtNode(tree, query, &domain, v, virtual_hook,
-                            &st.qual_vectors, &st.ops);
+                            &st.qual_vectors, &qual_scratch, &st.ops);
       continue;
     }
 
-    // Pre-order: selection vector with qz placeholders for qualifiers.
-    std::vector<Formula> vec(m, kFalseFormula);
+    // The root's entries start at 0: its leading-qualifier entry was pushed
+    // at stack init, before this step.
+    const size_t pending_begin = v == tree.root() ? 0 : pending.size();
+
+    // Pre-order: selection vector with qz placeholders for qualifiers,
+    // written in place above the parent's. Growth may move the buffer, so
+    // both pointers are taken after the resize.
+    stack.resize(base + m, kFalseFormula);
+    const Formula* parent_vec = stack.data() + base - m;
+    Formula* vec = stack.data() + base;
     for (size_t i = 1; i < m; ++i) {
       const CompiledQuery::SelEntry& e = sel[i];
       switch (e.kind) {
@@ -163,7 +179,7 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
               (e.kind == SelKind::kWildcard || tree.label(v) == e.label);
           Formula val = term ? parent_vec[i - 1] : kFalseFormula;
           if (term && e.qual >= 0 && !domain.IsFalse(val)) {
-            val = domain.And(val, fresh_qual_var(v, e.qual));
+            val = domain.And(val, fresh_qual_var(e.qual));
           }
           vec[i] = val;
           break;
@@ -174,7 +190,7 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
         case SelKind::kSelfFilter: {
           Formula val = vec[i - 1];
           if (e.qual >= 0 && !domain.IsFalse(val)) {
-            val = domain.And(val, fresh_qual_var(v, e.qual));
+            val = domain.And(val, fresh_qual_var(e.qual));
           }
           vec[i] = val;
           break;
@@ -188,10 +204,11 @@ Pax2FragmentState RunCombinedPass(const Fragment& frag,
 
     if (!domain.IsFalse(vec[last])) st.finals.emplace_back(v, vec[last]);
 
-    work.push_back({v, true});
+    work.push_back({v, true, pending_begin});
     if (tree.first_child(v) != kNullNode) {
-      for (NodeId c : tree.children(v)) work.push_back({c, false});
-      stack.push_back(std::move(vec));
+      for (NodeId c : tree.children(v)) work.push_back({c, false, 0});
+    } else {
+      stack.resize(base);
     }
   }
 

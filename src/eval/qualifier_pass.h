@@ -83,11 +83,17 @@ inline bool EntryTestMatches(const Tree& tree, NodeId v,
 /// Computes the QV/QDV rows of a single node from its (already computed)
 /// children rows: the post-order step of the bottom-up pass, exposed so that
 /// PaX2 can interleave it with its pre-order selection computation.
+///
+/// `scratch` holds the children aggregates while the node is computed. The
+/// caller owns it and passes the same buffer for every node of a traversal,
+/// so the step allocates nothing once it has grown to 2 * |entries|; its
+/// contents on entry do not matter.
 template <typename D>
 void ComputeQualRowsAtNode(
     const Tree& tree, const CompiledQuery& query, D* domain, NodeId v,
     const VirtualQualHook<typename D::Value>& virtual_hook,
-    QualVectors<D>* vectors, uint64_t* counter = nullptr) {
+    QualVectors<D>* vectors, std::vector<typename D::Value>* scratch,
+    uint64_t* counter = nullptr) {
   using Value = typename D::Value;
   const std::vector<CompiledQuery::Entry>& entries = query.entries();
   const size_t ec = entries.size();
@@ -111,8 +117,9 @@ void ComputeQualRowsAtNode(
   // Aggregates over children, shared by all entries of this node:
   //   qcv[e]  = OR_child QV_child(e)      (some child matches)
   //   qadv[e] = OR_child QDV_child(e)     (some proper descendant matches)
-  std::vector<Value> qcv(ec, domain->False());
-  std::vector<Value> qadv(ec, domain->False());
+  scratch->assign(2 * ec, domain->False());
+  Value* qcv = scratch->data();
+  Value* qadv = qcv + ec;
   for (NodeId c : tree.children(v)) {
     const Value* cqv = vectors->QVRow(c);
     const Value* cqdv = vectors->QDVRow(c);
@@ -213,6 +220,7 @@ QualVectors<D> RunQualifierPass(
     bool expanded;
   };
   std::vector<Item> stack = {{tree.root(), false}};
+  std::vector<typename D::Value> scratch;
   while (!stack.empty()) {
     Item item = stack.back();
     stack.pop_back();
@@ -222,7 +230,7 @@ QualVectors<D> RunQualifierPass(
       continue;
     }
     ComputeQualRowsAtNode(tree, query, domain, item.v, virtual_hook, &out,
-                          counter);
+                          &scratch, counter);
   }
   return out;
 }

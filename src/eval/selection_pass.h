@@ -21,7 +21,6 @@
 #define PAXML_EVAL_SELECTION_PASS_H_
 
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -81,32 +80,38 @@ SelectionOutput<D> RunSelectionPass(
 
   const size_t last = m - 1;
 
-  // Explicit DFS; stack_vectors parallels the ancestor chain.
+  // Explicit DFS. `stack` is flat and parallels the ancestor chain: the
+  // vector of depth d occupies [d*m, (d+1)*m), the top is the last m values.
+  // It grows to O(depth * m) once and then allocates nothing per node.
   struct Item {
     NodeId v;
     bool expanded;
   };
   std::vector<Item> work = {{tree.root(), false}};
-  std::vector<std::vector<Value>> stack;
-  stack.push_back(std::move(init_stack));
+  std::vector<Value> stack = std::move(init_stack);
 
   while (!work.empty()) {
     Item item = work.back();
     work.pop_back();
     if (item.expanded) {
-      stack.pop_back();
+      stack.resize(stack.size() - m);
       continue;
     }
     const NodeId v = item.v;
-    const std::vector<Value>& parent_vec = stack.back();
+    const size_t base = stack.size();
 
     if (tree.IsVirtual(v)) {
       // The child fragment continues the traversal; hand it the context.
-      out.virtual_stack_tops.emplace_back(v, parent_vec);
+      const Value* top = stack.data() + base - m;
+      out.virtual_stack_tops.emplace_back(v, std::vector<Value>(top, top + m));
       continue;
     }
 
-    std::vector<Value> vec(m, domain->False());
+    // The node's vector is written in place above its parent's; growth may
+    // move the buffer, so both pointers are taken after the resize.
+    stack.resize(base + m, domain->False());
+    const Value* parent_vec = stack.data() + base - m;
+    Value* vec = stack.data() + base;
     // Entry 0 (document node) is false at every real node: vec[0] stays F.
     for (size_t i = 1; i < m; ++i) {
       const CompiledQuery::SelEntry& e = sel[i];
@@ -157,7 +162,8 @@ SelectionOutput<D> RunSelectionPass(
     if (tree.first_child(v) != kNullNode) {
       work.push_back({v, true});  // sentinel: pop the vector when done
       for (NodeId c : tree.children(v)) work.push_back({c, false});
-      stack.push_back(std::move(vec));
+    } else {
+      stack.resize(base);
     }
   }
   return out;

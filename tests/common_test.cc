@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <string>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -184,6 +186,27 @@ TEST(StringUtilTest, ParseNumber) {
   EXPECT_FALSE(ParseNumber("x").has_value());
   EXPECT_FALSE(ParseNumber("3x").has_value());
   EXPECT_FALSE(ParseNumber("").has_value());
+}
+
+// Pins the strtod results ParseNumber returns, including the forms the
+// first-byte rejection must still let through (sign, point, inf, nan, hex).
+TEST(StringUtilTest, ParseNumberMatchesStrtod) {
+  EXPECT_DOUBLE_EQ(*ParseNumber("+1.5"), 1.5);
+  EXPECT_DOUBLE_EQ(*ParseNumber("-.5"), -0.5);
+  EXPECT_DOUBLE_EQ(*ParseNumber("1e3"), 1000.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber("0x1A"), 26.0);
+  ASSERT_TRUE(ParseNumber("inf").has_value());
+  EXPECT_TRUE(std::isinf(*ParseNumber("inf")));
+  EXPECT_GT(*ParseNumber("inf"), 0.0);
+  ASSERT_TRUE(ParseNumber("NaN").has_value());
+  EXPECT_TRUE(std::isnan(*ParseNumber("NaN")));
+  EXPECT_FALSE(ParseNumber("12abc").has_value());
+  EXPECT_FALSE(ParseNumber("abc").has_value());
+  EXPECT_FALSE(ParseNumber("").has_value());
+  EXPECT_FALSE(ParseNumber("   ").has_value());
+  // Text longer than the stack buffer parses the same way.
+  EXPECT_DOUBLE_EQ(*ParseNumber(std::string(80, '0') + "25"), 25.0);
+  EXPECT_FALSE(ParseNumber(std::string(80, '0') + "2x").has_value());
 }
 
 TEST(StringUtilTest, EqualsIgnoreCase) {

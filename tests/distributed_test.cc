@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/parbox.h"
@@ -297,6 +300,117 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PropertyCase>& info) {
       return "seed_" + std::to_string(info.param.seed);
     });
+
+// ---- Site kernels: deep stacks and several qz entries per node ----------------
+
+/// Runs `query` with `algo` on SyncTransport and on PooledTransport, checks
+/// that both give the same answers and the same ledger, and returns the
+/// sync result.
+DistributedResult RunSyncAndPooled(const Cluster& cluster,
+                                   const std::string& query,
+                                   DistributedAlgorithm algo, bool xa) {
+  const std::string label =
+      std::string(AlgorithmName(algo)) + (xa ? "-XA " : "-NA ") + query;
+  EngineOptions options;
+  options.algorithm = algo;
+  options.pax.use_annotations = xa;
+  options.transport = TransportKind::kSync;
+  auto sync_r = EvaluateDistributed(cluster, query, options);
+  options.transport = TransportKind::kPooled;
+  auto pooled_r = EvaluateDistributed(cluster, query, options);
+  PAXML_CHECK(sync_r.ok());
+  PAXML_CHECK(pooled_r.ok());
+  EXPECT_EQ(pooled_r->answers, sync_r->answers) << label;
+  EXPECT_TRUE(testing::SameLedger(pooled_r->stats, sync_r->stats)) << label;
+  return std::move(sync_r).ValueOrDie();
+}
+
+// A chain of 300 nested <a> elements cut into five fragments of depth 60:
+// each fragment's selection stack grows far past its initial one-vector
+// size, and the qualifier rows of every level depend on the level below.
+TEST(SiteKernelTest, DeepFragmentedChainMatchesCentralized) {
+  constexpr int kDepth = 300;
+  TreeBuilder b(std::make_shared<SymbolTable>());
+  b.Open("root");
+  std::vector<NodeId> cuts;
+  for (int i = 0; i < kDepth; ++i) {
+    b.Open("a");
+    if (i > 0 && i % 60 == 0) cuts.push_back(b.current());
+    if (i % 3 == 0) b.Leaf("b");
+    if (i % 5 == 0) b.LeafNumber("c", i);
+  }
+  for (int i = 0; i <= kDepth; ++i) b.Close();
+  Tree tree = std::move(b).Finish();
+  ASSERT_EQ(cuts.size(), 4u);
+
+  auto doc_r = FragmentByCuts(tree, cuts);
+  ASSERT_TRUE(doc_r.ok());
+  auto doc =
+      std::make_shared<FragmentedDocument>(std::move(doc_r).ValueOrDie());
+  Cluster cluster(doc, 3);
+  cluster.PlaceRootAndSpread();
+
+  // Expected answer counts, fixed by the chain's shape.
+  const std::vector<std::pair<std::string, size_t>> queries = {
+      {"root//a/a/a", 298},
+      {"//a[b]//a[c]", 59},
+      {"//a[.//c > 290]/b", 99},
+      {"root/a/a//a[not(b)]/c", 40},
+      {"//.[c]/a", 60},
+  };
+  for (const auto& [query, count] : queries) {
+    auto compiled = CompileXPath(query, tree.symbols());
+    ASSERT_TRUE(compiled.ok()) << query;
+    const std::vector<NodeId> expected =
+        EvaluateCentralized(tree, *compiled).answers;
+    EXPECT_EQ(expected.size(), count) << query;
+    for (auto algo : {DistributedAlgorithm::kPaX2, DistributedAlgorithm::kPaX3}) {
+      for (bool xa : {false, true}) {
+        DistributedResult r = RunSyncAndPooled(cluster, query, algo, xa);
+        EXPECT_EQ(r.ToSourceIds(*doc), expected)
+            << AlgorithmName(algo) << (xa ? "-XA " : "-NA ") << query;
+        EXPECT_LE(r.stats.max_visits(),
+                  algo == DistributedAlgorithm::kPaX3 ? 3 : 2);
+      }
+    }
+  }
+}
+
+// Queries that give one node several qz entries in PaX2's combined pass
+// (two qualified steps matching the same node, the root's leading
+// qualifier beside its own step's, a self-filter after '//'). Their qz
+// variables resolve in creation order; the answers and byte totals are
+// pinned as literals.
+TEST_F(DistributedClienteleTest, SeveralQualifiersPerNodePinned) {
+  struct Case {
+    std::string query;
+    std::vector<NodeId> answers;
+    uint64_t pax2_bytes;
+    uint64_t pax3_bytes;
+  };
+  const std::vector<Case> cases = {
+      {"//*[name]//*[stock]/name", {10, 35, 45, 63}, 276, 264},
+      {"//stock[code][qt > 45]/code", {38, 48, 66}, 247, 256},
+      {"//.[code = \"GOOG\"]/buy", {15, 50, 68}, 240, 240},
+      {".[//stock]/clientele[client]//broker[market]/name",
+       {7, 32, 60},
+       333,
+       330},
+      {"//.[market/name]//.[stock]/name", {10, 35, 45, 63}, 320, 301},
+  };
+  for (const Case& c : cases) {
+    const std::vector<NodeId> expected = Centralized(c.query);
+    EXPECT_EQ(expected, c.answers) << c.query;
+    DistributedResult pax2 =
+        RunSyncAndPooled(*cluster_, c.query, DistributedAlgorithm::kPaX2, false);
+    DistributedResult pax3 =
+        RunSyncAndPooled(*cluster_, c.query, DistributedAlgorithm::kPaX3, false);
+    EXPECT_EQ(pax2.ToSourceIds(*doc_), c.answers) << c.query;
+    EXPECT_EQ(pax3.ToSourceIds(*doc_), c.answers) << c.query;
+    EXPECT_EQ(pax2.stats.total_bytes, c.pax2_bytes) << c.query;
+    EXPECT_EQ(pax3.stats.total_bytes, c.pax3_bytes) << c.query;
+  }
+}
 
 // ---- Degenerate placements ------------------------------------------------------
 

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,9 +76,15 @@ TEST(WorkerPoolTest, ConcurrentBatchesEachWaitOnTheirOwnLatch) {
 // queued batches instead of draining the first before touching the second,
 // so a wide round cannot starve a concurrent query's round.
 TEST(WorkerPoolTest, ServesConcurrentBatchesRoundRobin) {
+  using Clock = std::chrono::steady_clock;
+  // Each wait below gives up after this long, so a scheduling stall fails
+  // the test instead of hanging it.
+  constexpr auto kWait = std::chrono::seconds(5);
   WorkerPool pool(1);
   std::mutex order_mu;
   std::vector<char> order;
+  std::atomic<bool> a_started{false};
+  std::atomic<bool> b_queued{false};
 
   std::vector<std::function<void()>> batch_a;
   for (int i = 0; i < 4; ++i) {
@@ -84,7 +92,12 @@ TEST(WorkerPoolTest, ServesConcurrentBatchesRoundRobin) {
       if (i == 0) {
         // Hold the only worker until batch B is queued behind batch A's
         // remaining tasks (A itself still counts: 3 tasks are unstarted).
-        while (pool.queued_batch_count() < 2) std::this_thread::yield();
+        a_started = true;
+        const auto deadline = Clock::now() + kWait;
+        while (pool.queued_batch_count() < 2 && Clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        b_queued = pool.queued_batch_count() >= 2;
       }
       std::lock_guard<std::mutex> lock(order_mu);
       order.push_back('A');
@@ -92,6 +105,13 @@ TEST(WorkerPoolTest, ServesConcurrentBatchesRoundRobin) {
   }
   std::thread caller_a([&] { pool.RunAll(std::move(batch_a)); });
 
+  // B is enqueued only once the worker holds A's task 0: otherwise the
+  // worker could drain all of B before A is queued, and task 0 would wait
+  // for a second batch that never comes.
+  const auto start_deadline = Clock::now() + kWait;
+  while (!a_started && Clock::now() < start_deadline) {
+    std::this_thread::yield();
+  }
   std::vector<std::function<void()>> batch_b;
   for (int i = 0; i < 3; ++i) {
     batch_b.push_back([&] {
@@ -103,6 +123,9 @@ TEST(WorkerPoolTest, ServesConcurrentBatchesRoundRobin) {
   caller_a.join();
   caller_b.join();
 
+  ASSERT_TRUE(a_started) << "batch A's first task never started";
+  ASSERT_TRUE(b_queued) << "batch B was not queued behind batch A within "
+                        << kWait.count() << " s";
   ASSERT_EQ(order.size(), 7u);
   const std::string trace(order.begin(), order.end());
   const size_t first_b = trace.find('B');
